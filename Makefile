@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test ci bench bench-fast bench-placement bench-placement-scale bench-enforce bench-enforce-scale bench-inference bench-inference-stream bench-failures examples doc clean
+.PHONY: all build test ci ci-smokes bench bench-fast bench-placement bench-placement-scale bench-enforce-scale bench-inference-stream bench-failures examples doc clean
 
 all: build
 
@@ -11,9 +11,8 @@ test:
 	dune runtest
 
 # Mirror of .github/workflows/ci.yml: install dependencies (when opam is
-# available), build everything, run the test suite, then the same
-# schema-gated bench smokes the Actions workflow runs — local `make ci`
-# and CI stay identical.
+# available), build everything, run the test suite, then the bench
+# smokes.
 ci:
 	@if command -v opam >/dev/null 2>&1; then \
 	  opam install . --deps-only --with-test --yes; \
@@ -22,12 +21,31 @@ ci:
 	fi
 	dune build @all
 	dune runtest
+	$(MAKE) ci-smokes
+
+# The bench smokes, defined once: `make ci` and the Actions workflow
+# both run this target, so the two lists cannot drift.  Each line runs
+# one section through scripts/ci-bench-smoke.sh, which writes
+# bench_<section>.json + bench_<section>_trace.json and gates them with
+# scripts/gates/<section>.py and scripts/gates/obs.py.  Gates assert
+# schema and invariants, never wall-clock.
+#   fig8              full telemetry path (--metrics-out, --trace-out)
+#   placement         hot-path microbenchmark (BENCH_pr3.json)
+#   placement-scale   index vs pod-sharded batching, 2k..131k servers:
+#                     jobs-invariance + throughput-collapse guard
+#                     (BENCH_pr8.json)
+#   enforce-scale     incremental max-min vs the from-scratch oracle:
+#                     bitwise equality, jobs-invariance (BENCH_pr9.json)
+#   inference-stream  streaming inference vs per-epoch re-run: oracle
+#                     parity, jobs-invariance (BENCH_pr10.json)
+#   sim-failures      failure campaign: recovery counters and
+#                     survivability invariants
+#   enforce-failures  the same schedules through the enforcement loop
+ci-smokes:
 	scripts/ci-bench-smoke.sh fig8 --fast --arrivals 200
 	scripts/ci-bench-smoke.sh placement --fast --jobs 1
 	scripts/ci-bench-smoke.sh placement-scale --fast --arrivals 200 --jobs 2
-	scripts/ci-bench-smoke.sh enforce --jobs 1
 	scripts/ci-bench-smoke.sh enforce-scale --fast --jobs 2
-	scripts/ci-bench-smoke.sh inference --jobs 1
 	scripts/ci-bench-smoke.sh inference-stream --fast --jobs 2
 	scripts/ci-bench-smoke.sh sim-failures --fast --arrivals 400 --jobs 1
 	scripts/ci-bench-smoke.sh enforce-failures --jobs 1
@@ -49,19 +67,12 @@ bench-fast:
 bench-placement:
 	dune exec bench/main.exe -- $(JOBS_FLAG) placement --metrics-out BENCH_placement.json
 
-# Region-scale placement sweep (2,048 -> 131,072 servers): linear scan
-# vs availability index vs pod-sharded epoch batching, with decision-
-# digest identity and jobs-invariance enforced in-process; writes a
-# metrics document to compare against the committed BENCH_pr8.json
-# baseline.
+# Region-scale placement sweep (2,048 -> 131,072 servers): availability
+# index vs pod-sharded epoch batching, with jobs-invariance enforced
+# in-process; writes a metrics document to compare against the
+# committed BENCH_pr8.json baseline.
 bench-placement-scale:
 	dune exec bench/main.exe -- $(JOBS_FLAG) placement-scale --metrics-out BENCH_placement_scale.json
-
-# Enforcement control-loop benchmark only (10k+ flows, epoch-compiled
-# engine vs per-period reference loop); writes a metrics document to
-# compare against the committed BENCH_pr4.json baseline.
-bench-enforce:
-	dune exec bench/main.exe -- $(JOBS_FLAG) enforce --metrics-out BENCH_enforce.json
 
 # Million-flow steady-state enforcement sweep (10k -> 1M flows under
 # churn): persistent incremental max-min vs the from-scratch oracle,
@@ -70,12 +81,6 @@ bench-enforce:
 # BENCH_pr9.json baseline.
 bench-enforce-scale:
 	dune exec bench/main.exe -- $(JOBS_FLAG) enforce-scale --metrics-out BENCH_enforce_scale.json
-
-# Inference hot-path benchmark only (dense vs CSR clustering pipeline
-# race with a label-digest equality gate); writes a metrics document to
-# compare against the committed BENCH_pr5.json baseline.
-bench-inference:
-	dune exec bench/main.exe -- $(JOBS_FLAG) inference --metrics-out BENCH_inference.json
 
 # Streaming TAG inference only (incremental engine vs from-scratch per
 # epoch, 1,024 -> 16,384 VMs under seeded drift); writes a metrics

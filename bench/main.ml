@@ -35,9 +35,7 @@ let known_sections =
   @ [
       "placement";
       "placement-scale";
-      "enforce";
       "enforce-scale";
-      "inference";
       "inference-stream";
       "runtime";
     ]
@@ -246,19 +244,15 @@ let placement_bench () =
     ];
   Table.print t
 
-(* Region-scale placement sweep (ISSUE 8): the same simulated
-   arrival/departure point at 2,048 -> 131,072 servers, racing the PR 3
-   linear-scan engine against the incremental availability index, plus
-   the pod-sharded epoch-batched path.  Scan and Indexed must produce
-   byte-identical result digests at every size (the engines are
-   decision-identical by construction — this enforces it end to end),
-   and the batched run must be bit-identical at jobs 1 vs the session's
-   jobs count.  Exported as [bench.placement_scale.*] gauges (per-size
-   values keyed by server count) so the CI gate and BENCH_pr8.json carry
-   the sweep. *)
+(* Region-scale placement sweep: the same simulated arrival/departure
+   point at 2,048 -> 131,072 servers, serial placement on the
+   incremental availability index against the pod-sharded
+   epoch-batched path.  The batched run must be bit-identical at jobs 1
+   vs the run's jobs count.  Exported as [bench.placement_scale.*]
+   gauges (per-size values keyed by server count) so the CI gate and
+   BENCH_pr8.json carry the sweep.  That the index answers every query
+   like a linear scan is a tier-1 test (test_hotpath), not a race. *)
 let g_ps_servers_max = Metrics.gauge "bench.placement_scale.servers_max"
-let g_ps_speedup_top = Metrics.gauge "bench.placement_scale.speedup_top"
-let g_ps_digest_match = Metrics.gauge "bench.placement_scale.digest_match"
 let g_ps_jobs_invariant = Metrics.gauge "bench.placement_scale.jobs_invariant"
 
 let scale_specs =
@@ -273,7 +267,6 @@ let placement_scale_bench () =
   let module Tree = Cm_topology.Tree in
   let module Runner = Cm_sim.Runner in
   let module Shard = Cm_placement.Shard in
-  let module Subtree = Cm_placement.Subtree in
   let p = !params in
   let pool =
     Cm_workload.Pool.scale_to_bmax
@@ -307,22 +300,17 @@ let placement_scale_bench () =
     Table.create
       ~caption:
         (Printf.sprintf
-           "Region-scale placement: linear scan vs availability index vs \
-            pod-sharded batching (load 0.9, Bmax 800, seed %d, %d arrivals \
-            per size, batch jobs %d)"
+           "Region-scale placement: availability index vs pod-sharded \
+            batching (load 0.9, Bmax 800, seed %d, %d arrivals per size, \
+            batch jobs %d)"
            p.seed p.arrivals (Par.default_domains ()))
       [
         ("servers", Table.Right);
-        ("scan dec/s", Table.Right);
         ("indexed dec/s", Table.Right);
-        ("speedup", Table.Right);
         ("batched dec/s", Table.Right);
-        ("identical", Table.Right);
       ]
   in
-  let all_match = ref true in
   let jobs_invariant = ref true in
-  let speedup_top = ref 0. in
   let servers_max = ref 0 in
   List.iter
     (fun (servers, degrees, oversub) ->
@@ -332,13 +320,11 @@ let placement_scale_bench () =
              (Printf.sprintf "bench.placement_scale.%s.%d" fmt servers))
           v
       in
-      let engine_run engine =
+      let idx_wall, _ =
         let tree = make_tree degrees oversub in
-        let sched = Cm_sim.Driver.cm ~engine tree in
+        let sched = Cm_sim.Driver.cm tree in
         timed (fun () -> Runner.run sched tree pool cfg)
       in
-      let scan_wall, scan_r = engine_run Subtree.Scan in
-      let idx_wall, idx_r = engine_run Subtree.Indexed in
       let batched_run () =
         let tree = make_tree degrees oversub in
         let shard = Shard.create tree in
@@ -354,174 +340,31 @@ let placement_scale_bench () =
           batched_run
       in
       if digest bat_r <> digest bat_r1 then jobs_invariant := false;
-      let matches = digest scan_r = digest idx_r in
-      if not matches then begin
-        all_match := false;
-        Printf.printf
-          "!! digest mismatch at %d servers:\n   scan    %s\n   indexed %s\n"
-          servers (digest scan_r) (digest idx_r)
-      end;
       let dps wall = float_of_int cfg.Runner.n_arrivals /. wall in
-      let speedup = dps idx_wall /. dps scan_wall in
-      gauge "scan_dps" (dps scan_wall);
       gauge "indexed_dps" (dps idx_wall);
       gauge "batched_dps" (dps bat_wall);
-      gauge "speedup" speedup;
       gauge "index_marks" (float_of_int marks);
       gauge "index_cleans" (float_of_int cleans);
       if Cm_obs.Series.enabled () then begin
         let x = float_of_int servers in
-        Cm_obs.Series.sample_named "placement_scale.scan_dps" ~x
-          (dps scan_wall);
         Cm_obs.Series.sample_named "placement_scale.indexed_dps" ~x
           (dps idx_wall);
         Cm_obs.Series.sample_named "placement_scale.batched_dps" ~x
-          (dps bat_wall);
-        Cm_obs.Series.sample_named "placement_scale.speedup" ~x speedup
+          (dps bat_wall)
       end;
-      speedup_top := speedup;
       servers_max := servers;
       Table.add_row t
         [
           string_of_int servers;
-          Printf.sprintf "%.0f" (dps scan_wall);
           Printf.sprintf "%.0f" (dps idx_wall);
-          Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.0f" (dps bat_wall);
-          (if matches then "yes" else "NO");
         ])
     scale_specs;
   Metrics.set g_ps_servers_max (float_of_int !servers_max);
-  Metrics.set g_ps_speedup_top !speedup_top;
-  Metrics.set g_ps_digest_match (if !all_match then 1. else 0.);
   Metrics.set g_ps_jobs_invariant (if !jobs_invariant then 1. else 0.);
   Table.print t;
-  if not !all_match then
-    failwith "placement-scale: indexed engine diverged from the linear scan";
   if not !jobs_invariant then
     failwith "placement-scale: batched placement is not jobs-invariant"
-
-(* Enforcement control-loop benchmark: one big two-tier tenant with
-   every src VM talking to every dst VM (10k+ concurrent flows over
-   3-link paths), driven for a fixed number of control periods.  The
-   epoch-compiled array engine (Runtime.run) races the pre-optimisation
-   per-period list/Hashtbl loop (Runtime.Reference.step); both produce
-   identical throughputs on a fixed flow set, so the speedup is pure
-   engine overhead.  Results are exported as [bench.enforce.*] gauges
-   (see BENCH_pr4.json). *)
-let g_enf_flows = Metrics.gauge "bench.enforce.flows"
-let g_enf_links = Metrics.gauge "bench.enforce.links"
-let g_enf_periods = Metrics.gauge "bench.enforce.periods"
-let g_enf_new_us = Metrics.gauge "bench.enforce.period_us_new"
-let g_enf_ref_us = Metrics.gauge "bench.enforce.period_us_reference"
-let g_enf_speedup = Metrics.gauge "bench.enforce.speedup"
-
-let enforce_bench () =
-  let module Runtime = Cm_enforce.Runtime in
-  let module Elastic = Cm_enforce.Elastic in
-  let module Maxmin = Cm_enforce.Maxmin in
-  let n_src = 128 and n_dst = 80 in
-  let src_racks = 32 and cores = 16 and dst_racks = 32 in
-  let periods = 50 in
-  let tag =
-    Cm_tag.Tag.create ~name:"bench-enforce"
-      ~components:[ ("front", n_src); ("back", n_dst) ]
-      ~edges:[ (0, 1, 1000., 1000.) ]
-      ()
-  in
-  (* Flow (i, j): rack uplink, a core link, destination rack downlink. *)
-  let flows =
-    List.concat
-      (List.init n_src (fun i ->
-           List.init n_dst (fun j ->
-               {
-                 Runtime.pair =
-                   {
-                     Elastic.src = { Elastic.comp = 0; vm = i };
-                     dst = { Elastic.comp = 1; vm = j };
-                   };
-                 path =
-                   [
-                     i mod src_racks;
-                     src_racks + ((i + j) mod cores);
-                     src_racks + cores + (j mod dst_racks);
-                   ];
-                 demand = infinity;
-               })))
-  in
-  let n_flows = List.length flows in
-  let links =
-    List.init
-      (src_racks + cores + dst_racks)
-      (fun id ->
-        let capacity = if id >= src_racks && id < src_racks + cores then 40_000. else 10_000. in
-        { Maxmin.link_id = id; capacity })
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let best f =
-    let w = ref infinity and res = ref None in
-    for _ = 1 to 3 do
-      let wall, r = time f in
-      if wall < !w then begin
-        w := wall;
-        res := Some r
-      end
-    done;
-    (!w, Option.get !res)
-  in
-  let new_wall, new_rates =
-    best (fun () ->
-        let rt = Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links () in
-        Runtime.run rt ~flows ~periods)
-  in
-  let ref_wall, ref_rates =
-    best (fun () ->
-        let st =
-          Runtime.Reference.create ~tag ~enforcement:Elastic.Tag_gp ~links ()
-        in
-        let last = ref [] in
-        for _ = 1 to periods do
-          last := Runtime.Reference.step st ~flows
-        done;
-        !last)
-  in
-  let max_diff =
-    List.fold_left2
-      (fun acc (_, a) (_, b) -> Float.max acc (Float.abs (a -. b)))
-      0. new_rates ref_rates
-  in
-  let new_us = 1e6 *. new_wall /. float_of_int periods in
-  let ref_us = 1e6 *. ref_wall /. float_of_int periods in
-  let speedup = ref_us /. new_us in
-  Metrics.set g_enf_flows (float_of_int n_flows);
-  Metrics.set g_enf_links (float_of_int (List.length links));
-  Metrics.set g_enf_periods (float_of_int periods);
-  Metrics.set g_enf_new_us new_us;
-  Metrics.set g_enf_ref_us ref_us;
-  Metrics.set g_enf_speedup speedup;
-  let t =
-    Table.create
-      ~caption:
-        (Printf.sprintf
-           "Enforcement control loop: %d backlogged flows (%dx%d all-pairs \
-            trunk) over %d links, %d control periods; epoch-compiled array \
-            engine vs per-period list/Hashtbl reference (best of 3)"
-           n_flows n_src n_dst (List.length links) periods)
-      [ ("metric", Table.Left); ("value", Table.Right) ]
-  in
-  Table.add_row t [ "flows"; string_of_int n_flows ];
-  Table.add_row t [ "links"; string_of_int (List.length links) ];
-  Table.add_row t [ "control periods"; string_of_int periods ];
-  Table.add_row t [ "period (new engine)"; Printf.sprintf "%.0f us" new_us ];
-  Table.add_row t [ "period (reference)"; Printf.sprintf "%.0f us" ref_us ];
-  Table.add_row t [ "speedup"; Printf.sprintf "%.1fx" speedup ];
-  Table.add_row t
-    [ "max |rate diff| (Mbps)"; Printf.sprintf "%.3g" max_diff ];
-  Table.print t
 
 (* Million-flow steady-state enforcement: the persistent incremental
    max-min solver (Maxmin.Inc) races the from-scratch oracle
@@ -722,142 +565,18 @@ let enforce_scale_bench () =
   if not !jobs_invariant then
     failwith "enforce-scale: incremental solve is not jobs-invariant"
 
-(* TAG-inference hot-path benchmark: an 8-tier pipeline tenant at
-   n ∈ {128, 512, 1024} VMs, traffic generated sparsely, then the
-   sparse clustering pipeline (mean_csr -> projection_csr ->
-   cluster_csr, i.e. CSR Louvain over the sparse projection) raced
-   against the dense reference pipeline (mean_matrix ->
-   projection_graph -> cluster) on the same traffic.  The two paths
-   are bit-identical by construction; the bench enforces it with a
-   label-digest gate and fails loudly on mismatch.  Results are
-   exported as [bench.inference.*] gauges (see BENCH_pr5.json); the
-   headline gauges (speedup, labels_match) are taken at the largest
-   size. *)
-let g_inf_n = Metrics.gauge "bench.inference.n_vms"
-let g_inf_nnz = Metrics.gauge "bench.inference.traffic_nnz"
-let g_inf_density = Metrics.gauge "bench.inference.traffic_density"
-let g_inf_dense_ms = Metrics.gauge "bench.inference.dense_ms"
-let g_inf_csr_ms = Metrics.gauge "bench.inference.csr_ms"
-let g_inf_speedup = Metrics.gauge "bench.inference.speedup"
-let g_inf_match = Metrics.gauge "bench.inference.labels_match"
-
-let inference_bench () =
-  let module Csr = Cm_util.Csr in
-  let module Tm = Cm_inference.Traffic_matrix in
-  let module Similarity = Cm_inference.Similarity in
-  let module Louvain = Cm_inference.Louvain in
-  let p = !params in
-  let pipeline_tag n =
-    let tiers = 8 in
-    let per = n / tiers in
-    let components =
-      List.init tiers (fun t -> (Printf.sprintf "tier%d" t, per))
-    in
-    let edges =
-      List.init (tiers - 1) (fun t -> (t, t + 1, 100., 100.))
-      @ [ (0, 0, 50., 50.) ]
-    in
-    Cm_tag.Tag.create ~name:(Printf.sprintf "bench-infer-%d" n) ~components
-      ~edges ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let best f =
-    let w = ref infinity and res = ref None in
-    for _ = 1 to 3 do
-      let wall, r = time f in
-      if wall < !w then begin
-        w := wall;
-        res := Some r
-      end
-    done;
-    (!w, Option.get !res)
-  in
-  let digest labels =
-    Array.fold_left (fun h l -> (h * 1_000_003) + l + 1) 17 labels
-  in
-  let t =
-    Table.create
-      ~caption:
-        (Printf.sprintf
-           "Inference hot path: VM clustering (mean -> similarity \
-            projection -> Louvain) of an 8-tier pipeline tenant (8 epochs, \
-            noise 0.005, seed %d); sparse CSR pipeline vs dense reference, \
-            identical labels enforced by digest (best of 3)"
-           p.seed)
-      [
-        ("VMs", Table.Right);
-        ("traffic nnz", Table.Right);
-        ("density", Table.Right);
-        ("dense (ms)", Table.Right);
-        ("CSR (ms)", Table.Right);
-        ("speedup", Table.Right);
-        ("labels", Table.Right);
-      ]
-  in
-  List.iter
-    (fun n ->
-      let rng = Cm_util.Rng.create (p.seed + n) in
-      let tm =
-        Span.with_ "inference.generate" (fun () ->
-            Tm.generate ~noise_prob:0.005 ~rng (pipeline_tag n))
-      in
-      let dense_wall, dense_labels =
-        best (fun () ->
-            Louvain.cluster (Similarity.projection_graph (Tm.mean_matrix tm)))
-      in
-      let csr_wall, csr_labels =
-        best (fun () ->
-            Louvain.cluster_csr (Similarity.projection_csr (Tm.mean_csr tm)))
-      in
-      let matches = digest dense_labels = digest csr_labels in
-      if not matches then
-        failwith
-          (Printf.sprintf
-             "bench inference: dense and CSR pipelines' labels diverge at \
-              n=%d"
-             n);
-      let nnz =
-        Array.fold_left (fun acc e -> acc + Csr.nnz e) 0 tm.Tm.epochs
-      in
-      let density =
-        float_of_int nnz /. float_of_int (n * n * Array.length tm.Tm.epochs)
-      in
-      let speedup = dense_wall /. csr_wall in
-      Metrics.set g_inf_n (float_of_int n);
-      Metrics.set g_inf_nnz (float_of_int nnz);
-      Metrics.set g_inf_density density;
-      Metrics.set g_inf_dense_ms (1e3 *. dense_wall);
-      Metrics.set g_inf_csr_ms (1e3 *. csr_wall);
-      Metrics.set g_inf_speedup speedup;
-      Metrics.set g_inf_match (if matches then 1. else 0.);
-      Table.add_row t
-        [
-          string_of_int n;
-          string_of_int nnz;
-          Printf.sprintf "%.1f%%" (100. *. density);
-          Printf.sprintf "%.2f" (1e3 *. dense_wall);
-          Printf.sprintf "%.2f" (1e3 *. csr_wall);
-          Printf.sprintf "%.1fx" speedup;
-          (if matches then "identical" else "DIVERGED");
-        ])
-    [ 128; 512; 1024 ];
-  Table.print t
-
 (* Streaming TAG inference: the incremental engine (Cm_inference.Stream)
    ingesting drifting traffic epochs, raced per epoch against the
    from-scratch pipeline (windowed mean -> projection -> Louvain ->
    guarantee peaks) on the identical window.  The workload is a ring of
    64-VM tiers under structured drift (2 rate drifters per epoch, one
    role change every 4th) — the steady-state regime where most rows are
-   constant tick over tick.  In-process gates: the Checked contract
-   (bitwise mean / projection / peaks, AMI parity on labels), bitwise
-   jobs-invariance of the streamed state, a true Checked-engine run at
-   the smallest size, and the >= 5x per-epoch speedup bar at 16,384 VMs
-   on full runs.  Exported as [bench.inference_stream.*] gauges (see
+   constant tick over tick.  In-process gates: the oracle check
+   (Cm_oracle.Inference: bitwise mean / projection / peaks, AMI parity
+   on labels) on every steady epoch, bitwise jobs-invariance of the
+   streamed state, the same check on every tick of a fresh run at the
+   smallest size, and the >= 5x per-epoch speedup bar at 16,384 VMs on
+   full runs.  Exported as [bench.inference_stream.*] gauges (see
    BENCH_pr10.json). *)
 let g_is_n_max = Metrics.gauge "bench.inference_stream.n_vms_max"
 let g_is_parity = Metrics.gauge "bench.inference_stream.parity"
@@ -867,20 +586,17 @@ let g_is_jobs = Metrics.gauge "bench.inference_stream.jobs_invariant"
 let g_is_speedup_top = Metrics.gauge "bench.inference_stream.speedup_top"
 
 let inference_stream_bench () =
-  let module Csr = Cm_util.Csr in
   let module Tm = Cm_inference.Traffic_matrix in
   let module Similarity = Cm_inference.Similarity in
   let module Louvain = Cm_inference.Louvain in
   let module Infer = Cm_inference.Infer in
   let module Stream = Cm_inference.Stream in
-  let module Ami = Cm_inference.Ami in
   let p = !params in
   let fast = p.arrivals < 10_000 in
   let sizes = if fast then [ 1_024; 4_096 ] else [ 1_024; 4_096; 16_384 ] in
   let tier = 64 in
   let steady_epochs = 8 in
-  let cfg = Stream.default_config in
-  let window = cfg.Stream.window in
+  let window = Stream.default_config.Stream.window in
   let ring_tag n =
     let nc = n / tier in
     let components =
@@ -950,56 +666,26 @@ let inference_stream_bench () =
         if st.Stream.drift <> None then incr events;
         (* From-scratch race on the identical window contents. *)
         let epochs = Stream.window_epochs s in
-        let cold_wall, cold_labels =
+        let cold_wall, () =
           time (fun () ->
-              let tmw = Tm.of_epochs epochs in
-              let mean = Tm.mean_csr tmw in
+              let mean = Tm.mean_csr (Tm.of_epochs epochs) in
               let graph = Similarity.projection_csr mean in
               let labels = Louvain.cluster_csr graph in
-              ignore (Infer.component_peaks epochs labels);
-              labels)
+              ignore (Infer.component_peaks epochs labels))
         in
         cold_total := !cold_total +. cold_wall;
-        (* Parity: the Checked contract, enforced in-process. *)
-        let mean_ref = Tm.mean_csr (Tm.of_epochs epochs) in
-        if not (Csr.equal (Stream.mean s) mean_ref) then begin
-          Printf.printf "!! mean diverged at n=%d epoch %d\n" n epoch;
-          parity := false
-        end;
+        (match
+           Cm_oracle.Check.result (fun () ->
+               Cm_oracle.Inference.check_tick s st)
+         with
+        | Ok ami -> ami_min := Float.min !ami_min ami
+        | Error msg ->
+            Printf.printf "!! n=%d epoch %d: %s\n" n epoch msg;
+            parity := false);
         if
-          not
-            (Csr.equal (Stream.projection s)
-               (Similarity.projection_csr mean_ref))
-        then begin
-          Printf.printf "!! projection diverged at n=%d epoch %d\n" n epoch;
-          parity := false
-        end;
-        let slabels = Stream.labels s in
-        if st.Stream.full || st.Stream.fallback then begin
-          if slabels <> cold_labels then begin
-            Printf.printf "!! full-tick labels diverged at n=%d epoch %d\n" n
-              epoch;
-            parity := false
-          end
-        end
-        else begin
-          let a = Ami.ami slabels cold_labels in
-          if a < !ami_min then ami_min := a;
-          if a < cfg.Stream.ami_parity then begin
-            Printf.printf "!! label AMI %.3f below parity at n=%d epoch %d\n" a
-              n epoch;
-            parity := false
-          end
-        end;
-        let ssizes, speaks = Stream.peaks s in
-        let ref_sizes, ref_peaks = Infer.component_peaks epochs slabels in
-        if ssizes <> ref_sizes || speaks <> ref_peaks then begin
-          Printf.printf "!! guarantee peaks diverged at n=%d epoch %d\n" n
-            epoch;
-          parity := false
-        end;
-        if Stream.labels s1 <> slabels || snd (Stream.peaks s1) <> speaks then
-          jobs_invariant := false
+          Stream.labels s1 <> Stream.labels s
+          || snd (Stream.peaks s1) <> snd (Stream.peaks s)
+        then jobs_invariant := false
       done;
       let cold_ms = 1e3 *. !cold_total /. float_of_int steady_epochs in
       let inc_ms = 1e3 *. !inc_total /. float_of_int steady_epochs in
@@ -1036,24 +722,27 @@ let inference_stream_bench () =
           (if !parity then "yes" else "NO");
         ])
     sizes;
-  (* Drive the Checked engine proper at the smallest size: every push
-     asserts the incremental state against cold and raises on
-     divergence. *)
+  (* A fresh run at the smallest size, checked on every tick including
+     the warm-up. *)
   let checked_ok =
-    try
-      let n = List.hd sizes in
-      let rng = Cm_util.Rng.create (p.seed + 1) in
-      let d = Tm.Drift.create ~rng (ring_tag n) in
-      let s = Stream.create ~engine:Stream.Checked ~n () in
+    let n = List.hd sizes in
+    let rng = Cm_util.Rng.create (p.seed + 1) in
+    let d = Tm.Drift.create ~rng (ring_tag n) in
+    let s = Stream.create ~n () in
+    let check () =
       for epoch = 1 to window + 4 do
         let role = if epoch = window + 2 then 1 else 0 in
-        ignore
-          (Stream.push s (Tm.Drift.step ~rate_drifters:2 ~role_drifters:role d))
-      done;
-      true
-    with Failure msg ->
-      Printf.printf "!! %s\n" msg;
-      false
+        let st =
+          Stream.push s (Tm.Drift.step ~rate_drifters:2 ~role_drifters:role d)
+        in
+        ignore (Cm_oracle.Inference.check_tick s st)
+      done
+    in
+    match Cm_oracle.Check.result check with
+    | Ok () -> true
+    | Error msg ->
+        Printf.printf "!! %s\n" msg;
+        false
   in
   Metrics.set g_is_n_max (float_of_int !n_max);
   Metrics.set g_is_parity (if !parity then 1. else 0.);
@@ -1066,7 +755,8 @@ let inference_stream_bench () =
     failwith "inference-stream: incremental state diverged from cold";
   if not !jobs_invariant then
     failwith "inference-stream: streamed state is not jobs-invariant";
-  if not checked_ok then failwith "inference-stream: Checked engine tripped";
+  if not checked_ok then
+    failwith "inference-stream: the fresh run failed its per-tick check";
   if (not fast) && !n_max >= 16_384 && !speedup_last < 5. then
     failwith
       (Printf.sprintf
@@ -1203,11 +893,8 @@ let () =
   section "placement" (fun () -> Span.with_ "section.placement" placement_bench);
   section "placement-scale" (fun () ->
       Span.with_ "section.placement_scale" placement_scale_bench);
-  section "enforce" (fun () -> Span.with_ "section.enforce" enforce_bench);
   section "enforce-scale" (fun () ->
       Span.with_ "section.enforce_scale" enforce_scale_bench);
-  section "inference" (fun () ->
-      Span.with_ "section.inference" inference_bench);
   section "inference-stream" (fun () ->
       Span.with_ "section.inference_stream" inference_stream_bench);
   section "runtime" (fun () -> Span.with_ "section.runtime" runtime_bechamel);

@@ -23,9 +23,8 @@ let eps = 1e-9
    component is always solved by the same code over the same canonical
    flow order (ascending external flow id), re-solving a clean
    component reproduces its rates bit-for-bit — which makes the
-   incremental path bitwise-identical to a from-scratch solve, and lets
-   the [Checked] differential mode compare against {!with_guarantees}
-   with zero tolerance. *)
+   incremental path bitwise-identical to a from-scratch solve, so tests
+   compare it against {!with_guarantees} with zero tolerance. *)
 
 module Inc = struct
   type stats = {

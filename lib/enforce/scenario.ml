@@ -4,6 +4,7 @@ module Examples = Cm_tag.Examples
 type fig13_point = { n_senders : int; x_to_z : float; c2_to_z : float }
 
 let bottleneck_link = 0
+let bottleneck = [ { Maxmin.link_id = bottleneck_link; capacity = 1000. } ]
 
 (* Build flows into VM Z over the single bottleneck link, with pair
    guarantees from the requested enforcement mode. *)
@@ -29,8 +30,7 @@ let fig13_point enforcement ~n_senders =
         })
       guarantees
   in
-  let links = [ { Maxmin.link_id = bottleneck_link; capacity = 1000. } ] in
-  let rates = Maxmin.with_guarantees ~links ~flows in
+  let rates = Maxmin.with_guarantees ~links:bottleneck ~flows in
   let rate_of i = snd rates.(i) in
   {
     n_senders;
@@ -60,11 +60,13 @@ type churn_result = {
   guarantee_met : float;
   converged_fraction : float;
   mean_periods : float;
+  schedule : Runtime.flow_spec list list;
+  report : Runtime.report;
 }
 
 let x_guarantee = 450.
 
-let churn ?eps ?max_periods ?engine ?(n_senders = 5) ?(p_active = 0.5) ~seed
+let churn ?eps ?max_periods ?(n_senders = 5) ?(p_active = 0.5) ~seed
     ~epochs enforcement =
   if epochs <= 0 then invalid_arg "Scenario.churn: epochs must be positive";
   let tag = Examples.fig13 () in
@@ -85,11 +87,7 @@ let churn ?eps ?max_periods ?engine ?(n_senders = 5) ?(p_active = 0.5) ~seed
                     [ flow { Elastic.src = { Elastic.comp = 1; vm = i + 1 }; dst = z } ]
                   else [])))
   in
-  let rt =
-    Runtime.create ?engine ~tag ~enforcement
-      ~links:[ { Maxmin.link_id = bottleneck_link; capacity = 1000. } ]
-      ()
-  in
+  let rt = Runtime.create ~tag ~enforcement ~links:bottleneck () in
   let r = Runtime.run_dynamic ?eps ?max_periods rt ~epochs:schedule in
   (* Per-epoch series, one family per enforcement mode so the Tag/Hose
      rows running in parallel under Par never share a ring. *)
@@ -126,6 +124,8 @@ let churn ?eps ?max_periods ?engine ?(n_senders = 5) ?(p_active = 0.5) ~seed
       sum (fun p -> if p.steady_x >= x_guarantee -. 1e-6 then 1. else 0.) /. k;
     converged_fraction = sum (fun p -> if p.converged then 1. else 0.) /. k;
     mean_periods = sum (fun p -> float_of_int p.periods) /. k;
+    schedule;
+    report = r;
   }
 
 (* {1 Enforcement under rack failures} *)
@@ -152,7 +152,7 @@ type failures_result = {
   reconverge_periods_mean : float;
 }
 
-let failures ?eps ?max_periods ?engine ?(n_racks = 4) ?(vms_per_rack = 4)
+let failures ?eps ?max_periods ?(n_racks = 4) ?(vms_per_rack = 4)
     ?(recovery = `Lag 1) ?(rate = 0.15) ?mean_repair ~seed ~epochs enforcement =
   if epochs <= 0 then invalid_arg "Scenario.failures: epochs must be positive";
   if n_racks <= 1 then invalid_arg "Scenario.failures: need at least 2 racks";
@@ -253,7 +253,7 @@ let failures ?eps ?max_periods ?engine ?(n_racks = 4) ?(vms_per_rack = 4)
     epoch_flows.(e) <- !flows;
     epoch_pairs.(e) <- !pairs
   done;
-  let rt = Runtime.create ?engine ~tag ~enforcement ~links () in
+  let rt = Runtime.create ~tag ~enforcement ~links () in
   let r = Runtime.run_dynamic ?eps ?max_periods rt ~epochs:(Array.to_list epoch_flows) in
   let violations = ref 0 in
   (* Series family: one per (enforcement, recovery) row, matching how

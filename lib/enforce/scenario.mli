@@ -14,6 +14,9 @@ val fig13 : Elastic.enforcement -> max_senders:int -> fig13_point list
     backlogged.  With [Tag_gp] the X->Z throughput stays at >= 450 as C2
     senders are added; with [Hose_gp] it collapses. *)
 
+val bottleneck : Maxmin.link list
+(** The single 1 Gbps link into Z that {!fig13} and {!churn} share. *)
+
 (** {1 Enforcement under churn (§5.2, dynamic)} *)
 
 type churn_point = {
@@ -34,12 +37,14 @@ type churn_result = {
           guarantee. *)
   converged_fraction : float;
   mean_periods : float;  (** Mean control periods per epoch. *)
+  schedule : Runtime.flow_spec list list;
+      (** The arrival/departure trace, one flow set per epoch. *)
+  report : Runtime.report;  (** The control loop's report on [schedule]. *)
 }
 
 val churn :
   ?eps:float ->
   ?max_periods:int ->
-  ?engine:Runtime.engine ->
   ?n_senders:int ->
   ?p_active:float ->
   seed:int ->
@@ -54,9 +59,9 @@ val churn :
     [Tag_gp] every epoch's steady X->Z stays at or above the 450 Mbps
     trunk guarantee; with [Hose_gp] it collapses whenever enough senders
     are active — the per-trunk vs aggregate-hose comparison of §5 under
-    churn.  [engine] selects the steady-state solver strategy
-    ({!Runtime.engine}; [Checked] re-verifies every epoch against the
-    from-scratch oracle). *)
+    churn.  The runtime is built from [Cm_tag.Examples.fig13 ()] and
+    the links {!bottleneck}.
+    @raise Invalid_argument unless [epochs > 0]. *)
 
 (** {1 Enforcement under rack failures (ISSUE 6)} *)
 
@@ -92,7 +97,6 @@ type failures_result = {
 val failures :
   ?eps:float ->
   ?max_periods:int ->
-  ?engine:Runtime.engine ->
   ?n_racks:int ->
   ?vms_per_rack:int ->
   ?recovery:[ `None | `Lag of int ] ->

@@ -38,8 +38,7 @@ val component_peaks :
     sizes and the flat row-major [n_comp * n_comp] peak-over-epochs
     aggregate rate matrix.  Each epoch folds its stored entries in
     row-major order — the reference order the streaming engine's
-    per-component re-derivation must (and does) reproduce bit-for-bit,
-    which is what its [Checked] mode asserts. *)
+    per-component re-derivation reproduces bit-for-bit. *)
 
 val tag_of_peaks : sizes:int array -> float array -> Cm_tag.Tag.t
 (** Build the inferred TAG from {!component_peaks} output.

@@ -1,7 +1,5 @@
 module Csr = Cm_util.Csr
 
-let degrees adj = Array.map (fun row -> Array.fold_left ( +. ) 0. row) adj
-
 (* Renumber labels (all in [0, n)) to 0..k-1 in first-appearance order. *)
 let renumber labels =
   let n = Array.length labels in
@@ -17,22 +15,6 @@ let renumber labels =
         x
       end)
     labels
-
-let modularity ?(resolution = 1.) adj labels =
-  let n = Array.length adj in
-  let k = degrees adj in
-  let m2 = Array.fold_left ( +. ) 0. k in
-  if m2 = 0. then 0.
-  else begin
-    let q = ref 0. in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if labels.(i) = labels.(j) then
-          q := !q +. adj.(i).(j) -. (resolution *. k.(i) *. k.(j) /. m2)
-      done
-    done;
-    !q /. m2
-  end
 
 let modularity_csr ?(resolution = 1.) (adj : Csr.t) labels =
   let n = adj.Csr.n in
@@ -77,11 +59,11 @@ let make_frame n =
     touched = Array.make n 0;
   }
 
-(* Order-independent move selection shared by the dense and CSR
-   passes.  The best community is the exact (max gain, then lowest
-   community id) over the touched neighbour communities — float
-   equality, not epsilon, so the winner does not depend on scan order.
-   The epsilon appears only in the final move-vs-stay guard. *)
+(* One local-moving pass with order-independent move selection: the
+   best community is the exact (max gain, then lowest community id)
+   over the touched neighbour communities — float equality, not
+   epsilon, so the winner does not depend on scan order.  The epsilon
+   appears only in the final move-vs-stay guard. *)
 let local_moving fr ~resolution ~n ~m2 ~iter_neighbours =
   let k = fr.k and community = fr.community in
   let sigma_tot = fr.sigma_tot and w = fr.w and touched = fr.touched in
@@ -148,21 +130,6 @@ let ensure_frame fr n =
     fr.touched <- Array.make n 0
   end
 
-let one_level_dense fr ~resolution adj =
-  let n = Array.length adj in
-  ensure_frame fr n;
-  let m2 = ref 0. in
-  for i = 0 to n - 1 do
-    let s = Array.fold_left ( +. ) 0. adj.(i) in
-    fr.k.(i) <- s;
-    m2 := !m2 +. s
-  done;
-  local_moving fr ~resolution ~n ~m2:!m2 ~iter_neighbours:(fun i f ->
-      let row = adj.(i) in
-      for j = 0 to n - 1 do
-        if row.(j) > 0. then f j row.(j)
-      done)
-
 let one_level_csr_frame fr ~resolution (adj : Csr.t) =
   let n = adj.Csr.n in
   ensure_frame fr n;
@@ -176,30 +143,13 @@ let one_level_csr_frame fr ~resolution (adj : Csr.t) =
   local_moving fr ~resolution ~n ~m2:!m2 ~iter_neighbours:(fun i f ->
       Csr.iter_row adj i f)
 
-let one_level ?(resolution = 1.) adj =
-  one_level_dense (make_frame (Array.length adj)) ~resolution adj
-
 let one_level_csr ?(resolution = 1.) adj =
   one_level_csr_frame (make_frame adj.Csr.n) ~resolution adj
 
-let aggregate adj labels =
-  let n_comm = 1 + Array.fold_left max 0 labels in
-  let small = Array.make_matrix n_comm n_comm 0. in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j w ->
-          if w > 0. then
-            small.(labels.(i)).(labels.(j)) <-
-              small.(labels.(i)).(labels.(j)) +. w)
-        row)
-    adj;
-  small
-
 let aggregate_csr (adj : Csr.t) labels =
   let n_comm = 1 + Array.fold_left max 0 labels in
-  (* Flat n_comm² accumulator; the row-major stored-entry scan adds
-     into each cell in exactly the dense aggregate's order. *)
+  (* Flat n_comm² accumulator, filled by one row-major stored-entry
+     scan. *)
   let acc = Array.make (n_comm * n_comm) 0. in
   Csr.iter_nz adj (fun i j v ->
       let idx = (labels.(i) * n_comm) + labels.(j) in
@@ -415,25 +365,6 @@ let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
     end;
     (community, !moves)
   end
-
-let cluster ?(resolution = 1.) adj =
-  let n = Array.length adj in
-  let assignment = Array.init n Fun.id in
-  let fr = make_frame n in
-  let rec loop adj =
-    let labels, improved = one_level_dense fr ~resolution adj in
-    if not improved then ()
-    else begin
-      (* Compose into the node-level assignment. *)
-      for i = 0 to n - 1 do
-        assignment.(i) <- labels.(assignment.(i))
-      done;
-      let n_comm = 1 + Array.fold_left max 0 labels in
-      if n_comm < Array.length adj then loop (aggregate adj labels)
-    end
-  in
-  loop adj;
-  renumber assignment
 
 let cluster_csr ?(resolution = 1.) (adj : Csr.t) =
   let n = adj.Csr.n in

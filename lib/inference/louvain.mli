@@ -3,27 +3,21 @@
     modularity, followed by graph aggregation, repeated until no pass
     improves.
 
-    Two interchangeable representations: the historical dense
-    [float array array] reference, and the {!Cm_util.Csr} hot path whose
-    inner loop is allocation-free (flat neighbour-community weight
-    accumulator + touched-list reset instead of a per-node Hashtbl,
-    scratch reused across aggregation levels).  For the same matrix the
-    two produce {e identical} labels: neighbour weights accumulate in
-    ascending-column order on both paths, and moves use an
-    order-independent selection key — exact maximum gain, ties broken
-    towards the lowest community id (folding a Hashtbl, as the dense
-    path previously did, made equal-gain ties depend on hash order). *)
+    Graphs are {!Cm_util.Csr} matrices.  The inner loop is
+    allocation-free (flat neighbour-community weight accumulator +
+    touched-list reset instead of a per-node Hashtbl, scratch reused
+    across aggregation levels).  Neighbour weights accumulate in
+    ascending-column order, and moves use an order-independent
+    selection key — exact maximum gain, ties broken towards the lowest
+    community id — so the labels depend on the matrix alone. *)
 
-val modularity : ?resolution:float -> float array array -> int array -> float
+val modularity_csr : ?resolution:float -> Cm_util.Csr.t -> int array -> float
 (** Newman modularity of a labelling of the given symmetric adjacency
     matrix (diagonal entries are self-loop weights).  [resolution]
     (default 1) is the Reichardt–Bornholdt gamma: larger values favour
-    more, smaller communities. *)
-
-val modularity_csr : ?resolution:float -> Cm_util.Csr.t -> int array -> float
-(** Same quantity over a sparse matrix.  The degree penalty is computed
-    per community rather than per pair, so agreement with {!modularity}
-    is to float tolerance, not bit-exact. *)
+    more, smaller communities.  The degree penalty is computed per
+    community rather than per pair, so agreement with the textbook
+    double sum is to float tolerance, not bit-exact. *)
 
 val modularity_graph :
   ?resolution:float ->
@@ -63,31 +57,22 @@ val refine_seeded :
 
 val renumber : int array -> int array
 (** Canonicalize labels to [0..k-1] in order of first appearance — the
-    normal form {!cluster} emits and the streaming engine applies after
+    normal form {!cluster_csr} emits and the streaming engine applies after
     composing a {!refine_seeded} pass with a coarse re-clustering. *)
 
-val cluster : ?resolution:float -> float array array -> int array
+val cluster_csr : ?resolution:float -> Cm_util.Csr.t -> int array
 (** Community label per node, renumbered to [0..k-1].  Deterministic
     (nodes are scanned in index order; ties are order-independent). *)
-
-val cluster_csr : ?resolution:float -> Cm_util.Csr.t -> int array
-(** Sparse clustering; produces exactly {!cluster}'s labels for the
-    same matrix. *)
 
 (** {1 Single passes}
 
     Exposed for property tests (e.g. modularity is non-decreasing
-    across aggregation levels); {!cluster}/{!cluster_csr} compose
-    them. *)
+    across aggregation levels); {!cluster_csr} composes them. *)
 
-val one_level : ?resolution:float -> float array array -> int array * bool
+val one_level_csr : ?resolution:float -> Cm_util.Csr.t -> int array * bool
 (** One local-moving pass; returns labels renumbered to [0..k-1] and
     whether any node moved. *)
 
-val one_level_csr : ?resolution:float -> Cm_util.Csr.t -> int array * bool
-
-val aggregate : float array array -> int array -> float array array
+val aggregate_csr : Cm_util.Csr.t -> int array -> Cm_util.Csr.t
 (** Collapse each community to one node, summing edge weights
     (intra-community weight lands on the diagonal as a self-loop). *)
-
-val aggregate_csr : Cm_util.Csr.t -> int array -> Cm_util.Csr.t

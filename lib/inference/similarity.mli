@@ -5,25 +5,13 @@
     vectors; the projection graph carries one weighted edge per similar
     VM pair. *)
 
-val feature_vectors : float array array -> float array array
-(** [feature_vectors m].(i) is row i of [m] concatenated with column i. *)
-
-val cosine : float array -> float array -> float
-(** Cosine similarity in [0, 1] for non-negative vectors; 0 when either
-    vector is all-zero. *)
-
-val angular_similarity : float array -> float array -> float
-(** [1 - 2*acos(cosine)/pi]: 1 for parallel vectors, 0 for orthogonal. *)
-
-val projection_graph : float array array -> float array array
-(** Symmetric VM-by-VM weight matrix of angular similarities (zero
-    diagonal), from a traffic matrix. *)
-
 val projection_csr : Cm_util.Csr.t -> Cm_util.Csr.t
-(** Sparse projection graph: per-pair cosines via merge-based dot
-    products over each VM's sparse feature support (row nonzeros, then
-    column nonzeros offset by n) — O(nnz_i + nnz_j) per pair instead of
-    O(2n).  Every accumulated sum visits the same nonzero terms in the
-    same order as the dense path, so the edge weights (and hence
-    downstream Louvain labels) are bit-identical to
-    [Csr.of_dense (projection_graph (Csr.to_dense m))]. *)
+(** Symmetric VM-by-VM graph (zero diagonal) whose edge weight is the
+    angular similarity [max 0 (1 - 2*acos(c)/pi)] of the two VMs'
+    feature vectors, where [c] is their cosine clamped to [[0, 1]] (0
+    when either vector is all-zero).  A VM's feature vector is its row
+    of the traffic matrix followed by its column.  Dot products run
+    over each VM's sparse feature support via an inverted index, one
+    multiply-add per support coincidence; every sum visits the nonzero
+    terms in ascending feature-dimension order, so the weights are
+    bitwise those of the dense formula. *)

@@ -31,14 +31,11 @@
       a deployment would use to renegotiate guarantees with the
       placement layer.
 
-    Engines mirror the [Maxmin] runtime switch: [Cold] recomputes the
-    whole pipeline from the window every tick (the reference),
-    [Incremental] maintains it, and [Checked] runs [Incremental] and
-    asserts agreement with [Cold] every tick (bitwise for the mean,
-    mirrors, similarity graph and guarantee peaks; exact labels on full
-    ticks and AMI [>= ami_parity] otherwise). *)
-
-type engine = Cold | Incremental | Checked
+    Against a from-scratch run of the batch pipeline over the same
+    window, the mean, similarity graph and guarantee peaks are bitwise
+    equal every tick, and the labels are equal on full and fallback
+    ticks; between them the seeded refinement may settle on a different
+    (near-equal modularity) partition. *)
 
 type cause =
   | Label_churn  (** Labelling changed on too many VMs in one tick. *)
@@ -69,9 +66,6 @@ type config = {
   churn_threshold : float;  (** Label-churn drift threshold (default 0.05). *)
   shift_threshold : float;
       (** Relative guarantee-shift drift threshold (default 0.25). *)
-  ami_parity : float;
-      (** [Checked]: minimum AMI between incremental and cold labels on
-          ticks where the engines may legitimately differ (default 0.8). *)
 }
 
 val default_config : config
@@ -93,15 +87,14 @@ type stats = {
 type t
 
 val create :
-  ?config:config -> ?engine:engine -> ?series_prefix:string -> n:int ->
-  unit -> t
-(** Engine over [n]-VM epochs (default [Incremental]).
+  ?config:config -> ?series_prefix:string -> n:int -> unit -> t
+(** A stream over [n]-VM epochs.
 
     When [series_prefix] is given, every {!push} samples the
     per-epoch [Cm_obs] series [<prefix>.label_churn], [.ami_prev],
     [.dirty_frac] and [.modularity] at [x = tick].  Series rings are
     process-global with a monotone x axis, so give each observed
-    engine its own prefix (e.g. ["infer.stream.16384"]); engines
+    stream its own prefix (e.g. ["infer.stream.16384"]); streams
     created without one stay silent (counters are still maintained).
     @raise Invalid_argument on a non-positive [n] or invalid config. *)
 
@@ -109,8 +102,7 @@ val push : ?domains:int -> t -> Cm_util.Csr.t -> stats
 (** Ingest one epoch and refresh labelling, guarantees and drift state.
     [domains] parallelizes the dirty similarity rows ([Cm_util.Par];
     the result is independent of the domain count).
-    @raise Invalid_argument on a dimension mismatch.
-    @raise Failure from the [Checked] engine on divergence. *)
+    @raise Invalid_argument on a dimension mismatch. *)
 
 val n_vms : t -> int
 

@@ -389,8 +389,6 @@ let mean_csr t =
   in
   Csr.of_row_lists ~n rows
 
-let mean_matrix t = Csr.to_dense (mean_csr t)
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "epoch,src,dst,rate\n";

@@ -93,9 +93,6 @@ end
 val mean_csr : t -> Cm_util.Csr.t
 (** Per-pair rate averaged over epochs (summed per cell, divided once). *)
 
-val mean_matrix : t -> float array array
-(** Dense view of {!mean_csr}. *)
-
 (** {1 Import/export}
 
     CSV interchange so operators can feed measured matrices: one line

@@ -8,41 +8,6 @@ type t = {
 let nnz t = t.row_ptr.(t.n)
 let row_nnz t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
-let of_dense m =
-  let n = Array.length m in
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Csr.of_dense: not square")
-    m;
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let c = ref 0 in
-    Array.iter (fun v -> if v > 0. then incr c) m.(i);
-    row_ptr.(i + 1) <- row_ptr.(i) + !c
-  done;
-  let k = row_ptr.(n) in
-  let col_idx = Array.make k 0 and values = Array.make k 0. in
-  let p = ref 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if m.(i).(j) > 0. then begin
-        col_idx.(!p) <- j;
-        values.(!p) <- m.(i).(j);
-        incr p
-      end
-    done
-  done;
-  { n; row_ptr; col_idx; values }
-
-let to_dense t =
-  let m = Array.make_matrix t.n t.n 0. in
-  for i = 0 to t.n - 1 do
-    for p = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      m.(i).(t.col_idx.(p)) <- t.values.(p)
-    done
-  done;
-  m
-
 let of_row_lists ~n rows =
   if Array.length rows <> n then invalid_arg "Csr.of_row_lists: row count";
   (* Scratch accumulator shared by all rows: [acc] holds the running sum

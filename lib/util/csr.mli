@@ -9,11 +9,9 @@
     increasing.
 
     Contract: stored values are strictly positive.  Constructors drop
-    entries that are [<= 0.], so [to_dense] reconstructs exactly the
-    dense matrices the rest of the system would have produced (the
-    dense code paths never distinguish an absent cell from a stored
-    zero).  Matrices with meaningful negative or explicit-zero entries
-    are out of scope. *)
+    entries that are [<= 0.], so an absent cell and a stored zero are
+    the same matrix.  Matrices with meaningful negative or
+    explicit-zero entries are out of scope. *)
 
 type t = private {
   n : int;  (** Rows = columns. *)
@@ -21,13 +19,6 @@ type t = private {
   col_idx : int array;  (** Column of each stored entry, ascending per row. *)
   values : float array;  (** Stored entries, all [> 0.]. *)
 }
-
-val of_dense : float array array -> t
-(** Keeps the strictly positive cells of a square dense matrix.
-    @raise Invalid_argument if the matrix is not square. *)
-
-val to_dense : t -> float array array
-(** Dense reconstruction; absent cells are [0.]. *)
 
 val of_row_lists : n:int -> (int * float) list array -> t
 (** [of_row_lists ~n rows] builds a matrix from per-row contribution
@@ -106,8 +97,7 @@ val equal : t -> t -> bool
     the window).  Re-folded rows accumulate the ring epochs oldest to
     newest, the exact per-cell order [Traffic_matrix.mean_csr] uses,
     so {!Window.mean} is bit-identical to a from-scratch mean over the
-    same epoch contents (the streaming inference [Checked] engine
-    asserts this every tick).
+    same epoch contents.
 
     Pushed matrices are retained by reference until they slide out of
     the window. *)

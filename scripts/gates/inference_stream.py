@@ -1,8 +1,8 @@
 """Gate for the streaming TAG inference bench (bench inference-stream):
-the incremental engine's state stayed on the Checked contract against
-the from-scratch pipeline on every steady epoch (bitwise mean /
-projection / guarantee peaks, AMI parity on labels), the streamed state
-was bitwise jobs-invariant, a true Checked-engine run passed, drift
+the incremental engine's state passed the oracle check against the
+from-scratch pipeline on every steady epoch (bitwise mean / projection
+/ guarantee peaks, AMI parity on labels), the streamed state was
+bitwise jobs-invariant, a fresh run checked on every tick passed, drift
 events carried a well-formed schema, and the incremental push actually
 beat a from-scratch re-inference per epoch.  Only identities and
 relative factors are asserted -- never absolute wall-clock, which CI
@@ -31,7 +31,7 @@ def check(doc):
         "streamed labelling/peaks depend on the domain count"
     )
     assert g.get("bench.inference_stream.checked_ok") == 1.0, (
-        "the Checked engine tripped one of its per-tick assertions"
+        "the fresh run failed its per-tick oracle check"
     )
 
     # AMI parity floor on the ticks where incremental and cold may

@@ -1,6 +1,5 @@
 """Gate for the region-scale placement sweep (bench placement-scale):
-the availability index took bit-identical decisions to the linear scan,
-batched placement was jobs-invariant, and throughput did not collapse
+batched placement was jobs-invariant and throughput did not collapse
 with size.  Only identities, orderings and relative factors are
 asserted -- never absolute wall-clock, which CI machines cannot hold
 steady.  Absolute numbers are bisected offline against the committed
@@ -19,9 +18,6 @@ def check(doc):
     # Hard invariants the bench itself also enforces (it fails the run
     # on violation); re-checked here so a silently truncated document
     # cannot pass.
-    assert g.get("bench.placement_scale.digest_match") == 1.0, (
-        "indexed engine diverged from the linear scan"
-    )
     assert g.get("bench.placement_scale.jobs_invariant") == 1.0, (
         "batched placement depends on the domain count"
     )
@@ -37,14 +33,9 @@ def check(doc):
     assert sizes and sizes[-1] == servers_max, (sizes, servers_max)
 
     for size in sizes:
-        for fmt in ("scan_dps", "indexed_dps", "batched_dps", "speedup"):
+        for fmt in ("indexed_dps", "batched_dps"):
             k = f"bench.placement_scale.{fmt}.{size}"
             assert k in g and g[k] > 0, k
-
-    # The index must never lose to the scan at the largest size (the
-    # full run shows >= 5x there; smokes run tiny workloads, so the
-    # gate asserts only the ordering).
-    assert g[f"bench.placement_scale.speedup.{servers_max}"] >= 1.0
 
     # Relative collapse guard: indexed decisions/sec at the largest
     # size must stay within a constant factor of the best size, i.e.
@@ -57,7 +48,7 @@ def check(doc):
     c = doc["counters"]
     assert c.get("shard.batch.epochs", 0) > 0, "no batched epochs ran"
     assert c.get("shard.batch.requests", 0) > 0
-    assert c.get("cm.index.queries", 0) > 0, "indexed engine never queried"
+    assert c.get("cm.index.queries", 0) > 0, "availability index never queried"
 
     assert "section.placement_scale" in doc["spans"]
     assert "shard.place_batch" in doc["spans"]

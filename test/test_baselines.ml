@@ -127,14 +127,13 @@ let test_subtree_all_under () =
   let tree = Tree.create spec in
   let root = Tree.root tree in
   Alcotest.(check int) "all nodes" (Tree.n_nodes tree)
-    (List.length (Subtree.all_under tree root));
+    (Array.length (Subtree.all_under_array tree root));
   let tor = (Tree.nodes_at_level tree 1).(0) in
+  let under = Subtree.all_under_array tree tor in
   (* 4 servers + the ToR itself. *)
-  Alcotest.(check int) "tor subtree" 5 (List.length (Subtree.all_under tree tor));
+  Alcotest.(check int) "tor subtree" 5 (Array.length under);
   (* Ascending level order: servers first. *)
-  match Subtree.all_under tree tor with
-  | first :: _ -> Alcotest.(check bool) "server first" true (Tree.is_server tree first)
-  | [] -> Alcotest.fail "empty"
+  Alcotest.(check bool) "server first" true (Tree.is_server tree under.(0))
 
 let test_subtree_contains () =
   let tree = Tree.create spec in

@@ -476,7 +476,7 @@ let test_runtime_headroom_consistent () =
     true
     (!max_x <= 750. +. 1e-6)
 
-(* {1 Epoch engine vs reference loop (differential)} *)
+(* {1 Epoch-compiled runtime vs reference loop (differential)} *)
 
 let diff_links = [ link 0 1000.; link 1 800. ]
 
@@ -497,12 +497,13 @@ let test_runtime_matches_reference () =
   let tag, enf = mk () in
   let rt = Runtime.create ~config ~tag ~enforcement:enf ~links:diff_links () in
   let st =
-    Runtime.Reference.create ~config ~tag ~enforcement:enf ~links:diff_links ()
+    Cm_oracle.Enforce.Reference.create ~config ~tag ~enforcement:enf
+      ~links:diff_links ()
   in
   let a = Runtime.run rt ~flows:diff_flows ~periods:37 in
   let b = ref [] in
   for _ = 1 to 37 do
-    b := Runtime.Reference.step st ~flows:diff_flows
+    b := Cm_oracle.Enforce.Reference.step st ~flows:diff_flows
   done;
   List.iter2
     (fun (p, ra) ((q : Elastic.active_pair), rb) ->
@@ -536,18 +537,6 @@ let test_runtime_step_loop_matches_run () =
 (* The steady-state oracle, recomputed independently of the runtime:
    ElasticSwitch GP guarantees, then guarantee-aware max-min over the
    link capacities. *)
-let steady_oracle ?(links = [ link 0 1000. ]) tag enforcement flows =
-  let pairs = List.map (fun (f : Runtime.flow_spec) -> f.pair) flows in
-  let demands = List.map (fun (f : Runtime.flow_spec) -> f.demand) flows in
-  let gs = Elastic.pair_guarantees ~demands tag enforcement ~pairs in
-  let mflows =
-    List.mapi
-      (fun i ((f : Runtime.flow_spec), (_, g)) ->
-        { Maxmin.flow_id = i; path = f.path; demand = f.demand; guarantee = g })
-      (List.combine flows gs)
-  in
-  Maxmin.with_guarantees ~links ~flows:mflows
-
 let test_run_dynamic_steady_matches_oracle () =
   (* Acceptance: steady-state allocations match the Maxmin oracle
      bit-for-bit, for every fig13 population under both GP modes. *)
@@ -560,16 +549,8 @@ let test_run_dynamic_steady_matches_oracle () =
           Runtime.create ~tag ~enforcement:enf ~links:[ link 0 1000. ] ()
         in
         let r = Runtime.run_dynamic rt ~epochs:[ flows ] in
-        let oracle = steady_oracle tag enf flows in
-        List.iteri
-          (fun i (_, rate) ->
-            Alcotest.(check (float 0.))
-              (Printf.sprintf "%s k=%d flow %d"
-                 (Elastic.enforcement_to_string enf)
-                 k i)
-              (snd oracle.(i))
-              rate)
-          r.rates
+        Cm_oracle.Enforce.check_report ~tag ~enforcement:enf
+          ~links:[ link 0 1000. ] ~epochs:[ flows ] r
       done)
     [ Elastic.Tag_gp; Elastic.Hose_gp ]
 
@@ -693,21 +674,48 @@ let test_churn_hose_fails () =
     true
     (r.guarantee_met < 1. && r.x_min < 450.)
 
-let test_churn_engines_agree () =
-  (* The Incremental engine (and its Checked differential mode, which
-     re-verifies every epoch against the from-scratch oracle) must
-     reproduce the Cold engine's churn results exactly — churn_result
-     is all floats derived from steady-state rates, so structural
-     equality is bitwise rate equality. *)
+(* Every epoch's incremental steady state is bitwise the from-scratch
+   [with_guarantees] solve over that epoch's flows, for both GP modes —
+   including the enforce-churn table's own trace (seed 42, 40 epochs). *)
+let check_churn ~seed ~epochs enf =
+  let r = Scenario.churn ~seed ~epochs enf in
+  Cm_oracle.Enforce.check_report ~tag:(Cm_tag.Examples.fig13 ())
+    ~enforcement:enf ~links:Scenario.bottleneck ~epochs:r.schedule r.report;
+  r
+
+let test_churn_matches_oracle () =
   List.iter
     (fun enf ->
-      let run engine = Scenario.churn ~engine ~seed:11 ~epochs:15 enf in
-      let inc = run Runtime.Incremental in
-      let cold = run Runtime.Cold in
-      let checked = run Runtime.Checked in
-      Alcotest.(check bool) "incremental = cold" true (inc = cold);
-      Alcotest.(check bool) "checked = cold" true (checked = cold))
+      List.iter
+        (fun (seed, epochs) -> ignore (check_churn ~seed ~epochs enf))
+        [ (11, 15); (42, 40) ])
     [ Elastic.Tag_gp; Elastic.Hose_gp ]
+
+let test_churn_oracle_detects_ulp () =
+  (* The check must not pass vacuously: nudge one steady rate of one
+     epoch by one ulp and it has to report exactly that epoch. *)
+  let r = check_churn ~seed:11 ~epochs:15 Elastic.Tag_gp in
+  let nudged =
+    List.map
+      (fun (e : Runtime.epoch_report) ->
+        if e.epoch <> 6 then e
+        else
+          match e.steady with
+          | (p, x) :: rest -> { e with steady = (p, Float.succ x) :: rest }
+          | [] -> Alcotest.fail "epoch 6 has no flows")
+      r.report.epochs
+  in
+  match
+    Cm_oracle.Check.result (fun () ->
+        Cm_oracle.Enforce.check_report ~tag:(Cm_tag.Examples.fig13 ())
+          ~enforcement:Elastic.Tag_gp ~links:Scenario.bottleneck
+          ~epochs:r.schedule { r.report with epochs = nudged })
+  with
+  | Ok () -> Alcotest.fail "a one-ulp rate change went unreported"
+  | Error msg ->
+      Alcotest.(check bool) ("names epoch 6: " ^ msg) true
+        (String.starts_with
+           ~prefix:"enforce: epoch 6 steady, pair 0.0->1.0" msg)
 
 (* {1 Incremental solver (Maxmin.Inc)} *)
 
@@ -861,7 +869,10 @@ let prop_dynamic_steady_is_maxmin =
           ~links:[ link 0 1000. ] ()
       in
       let r = Runtime.run_dynamic rt ~epochs:[ flows ] in
-      let oracle = steady_oracle tag Elastic.Tag_gp flows in
+      let oracle =
+        Cm_oracle.Enforce.steady ~tag ~enforcement:Elastic.Tag_gp
+          ~links:[ link 0 1000. ] flows
+      in
       let gs =
         Elastic.pair_guarantees
           ~demands:(List.map (fun (f : Runtime.flow_spec) -> f.demand) flows)
@@ -876,7 +887,7 @@ let prop_dynamic_steady_is_maxmin =
       let total = List.fold_left (fun acc (_, x) -> acc +. x) 0. r.rates in
       List.for_all2
         (fun (_, rate) (_, o) -> rate = o)
-        r.rates (Array.to_list oracle)
+        r.rates oracle
       && List.for_all2 (fun (_, rate) fl -> rate +. 1e-6 >= fl) r.rates floors
       && total <= 1000. +. 1e-6
       && total >= 1000. -. 1e-6)
@@ -1056,7 +1067,10 @@ let () =
           Alcotest.test_case "TAG meets guarantee" `Quick
             test_churn_tag_meets_guarantee;
           Alcotest.test_case "hose fails" `Quick test_churn_hose_fails;
-          Alcotest.test_case "engines agree" `Quick test_churn_engines_agree;
+          Alcotest.test_case "steady = oracle every epoch" `Quick
+            test_churn_matches_oracle;
+          Alcotest.test_case "oracle detects one ulp" `Quick
+            test_churn_oracle_detects_ulp;
         ] );
       ( "incremental",
         [

@@ -7,8 +7,9 @@
      bit for bit, at --jobs 1 and --jobs 4.
    - Differential workload: a seeded arrival/departure mix is checked
      against a from-scratch Eq. 1 oracle that reprices every node from
-     the live placements alone, and the whole run must replay
-     identically from scratch.
+     the live placements alone, the whole run must replay identically
+     from scratch, and every subtree query the availability index can
+     answer on the way must match the oracle scan.
    - Journal rollback: nested checkpoints and aborted partial placements
      must restore the exact tree snapshot. *)
 
@@ -117,10 +118,11 @@ let locs_string (locs : Types.locations) =
 
 (* Seeded arrival/departure mix on a 32-server tree.  Returns the
    scheduler, tree, live placements, and a trace string encoding every
-   accept (with server locations), reject (with reason), and departure. *)
-let run_workload ?engine () =
+   accept (with server locations), reject (with reason), and departure.
+   [on_event tree tag] runs after every place attempt and release. *)
+let run_workload ?(on_event = fun _ _ -> ()) () =
   let tree = Tree.create diff_spec in
-  let sched = Cm.create ?engine tree in
+  let sched = Cm.create tree in
   let rng = Rng.create 42 in
   let live = ref [] in
   let next_id = ref 0 in
@@ -130,12 +132,15 @@ let run_workload ?engine () =
       let arr = Array.of_list !live in
       let id, p = arr.(Rng.int rng (Array.length arr)) in
       Cm.release sched p;
+      on_event tree p.Types.req.Types.tag;
       live := List.filter (fun (i, _) -> i <> id) !live;
       Buffer.add_string trace (Printf.sprintf "D%d;" id)
     end
     else begin
       let tag = random_tag rng in
-      match Cm.place sched (Types.request tag) with
+      let result = Cm.place sched (Types.request tag) in
+      on_event tree tag;
+      match result with
       | Ok p ->
           let id = !next_id in
           incr next_id;
@@ -217,26 +222,40 @@ let test_differential_replay_identical () =
   Alcotest.(check string)
     "same decisions and server locations on a from-scratch replay" t1 t2
 
-(* ISSUE 8 differential harness: the same seeded arrival/departure mix —
-   including every rollback-and-retry inside [Cm.place] — must take
-   identical decisions under the linear scan, the availability index,
-   and the [Checked] engine (which additionally asserts scan == indexed
-   on every single [find_lowest] query as it runs). *)
-let test_engines_identical () =
-  let trace engine =
-    let sched, tree, live, trace = run_workload ~engine () in
-    List.iter (fun (_, p) -> Cm.release sched p) live;
-    Alcotest.(check bool)
-      (Cm_placement.Subtree.engine_name engine ^ ": index verifies")
-      true
-      (Tree.index_verify tree);
-    trace
+(* Availability index vs. the oracle's linear scan, per query: after
+   every place and release of the seeded mix (and of the final
+   release-all), [Subtree.find_lowest] and every scoped
+   [find_lowest_under] (each node at or above the level, with its
+   [Tree.available_to_root] clamps) must return the scan's node, at
+   every level, for the slot demand of every tenant seen so far.  The
+   workload's tenants have no external components, so their own
+   external demand is (0, 0); a ladder of one- and two-sided demands
+   exercises the path-availability prunes as well. *)
+let test_index_matches_scan () =
+  let exts =
+    [ (0., 0.); (150., 0.); (0., 150.); (600., 300.); (300., 600.);
+      (900., 900.) ]
   in
-  let scan = trace Cm_placement.Subtree.Scan in
-  let indexed = trace Cm_placement.Subtree.Indexed in
-  let checked = trace Cm_placement.Subtree.Checked in
-  Alcotest.(check string) "indexed trace == scan trace" scan indexed;
-  Alcotest.(check string) "checked trace == scan trace" scan checked
+  let sizes = ref [] and events = ref 0 in
+  let on_event tree tag =
+    incr events;
+    let inside = Array.init (Tag.n_components tag) (Tag.size tag) in
+    Alcotest.(check bool) "tenant has no external demand" true
+      (Bandwidth.required Bandwidth.Tag_model tag ~inside = (0., 0.));
+    let n = Tag.total_slot_demand tag in
+    if not (List.mem n !sizes) then sizes := n :: !sizes;
+    Cm_oracle.Placement.check_tree tree
+      ~queries:
+        (List.concat_map (fun n -> List.map (fun e -> (n, e)) exts) !sizes)
+  in
+  let sched, tree, live, _ = run_workload ~on_event () in
+  List.iter
+    (fun (_, (p : Types.placement)) ->
+      Cm.release sched p;
+      on_event tree p.req.tag)
+    live;
+  Alcotest.(check bool) "queried the whole workload" true (!events > 150);
+  Alcotest.(check bool) "index verifies" true (Tree.index_verify tree)
 
 (* {1 Journal rollback: nested checkpoints, aborted partial placements} *)
 
@@ -345,8 +364,8 @@ let () =
             test_differential_oracle;
           Alcotest.test_case "from-scratch replay identical" `Quick
             test_differential_replay_identical;
-          Alcotest.test_case "scan/indexed/checked engines identical" `Quick
-            test_engines_identical;
+          Alcotest.test_case "index = scan per query" `Quick
+            test_index_matches_scan;
         ] );
       ( "journal",
         [

@@ -10,6 +10,7 @@ module Similarity = Cm_inference.Similarity
 module Louvain = Cm_inference.Louvain
 module Ami = Cm_inference.Ami
 module Infer = Cm_inference.Infer
+module Dense = Cm_oracle.Dense
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -35,7 +36,7 @@ let test_tm_respects_structure () =
   let rng = Rng.create 2 in
   let tag = Cm_tag.Examples.storm ~s:3 ~b:10. in
   let tm = Tm.generate ~noise_prob:0. ~rng tag in
-  let m = Tm.mean_matrix tm in
+  let m = Dense.mean_matrix tm in
   let has_edge a b =
     Tag.find_edge tag ~src:tm.truth.(a) ~dst:tm.truth.(b) <> None
   in
@@ -55,7 +56,7 @@ let test_tm_total_volume () =
   let rng = Rng.create 3 in
   let tag = Tag.hose ~tier:"w" ~size:8 ~bw:100. () in
   let tm = Tm.generate ~epochs:40 ~imbalance:0.4 ~noise_prob:0. ~rng tag in
-  let m = Tm.mean_matrix tm in
+  let m = Dense.mean_matrix tm in
   let total = Array.fold_left (fun a r -> a +. Array.fold_left ( +. ) 0. r) 0. m in
   let expected = Tag.aggregate_bandwidth tag in
   Alcotest.(check bool)
@@ -66,19 +67,19 @@ let test_tm_total_volume () =
 (* {1 Similarity} *)
 
 let test_cosine_basics () =
-  check_float "parallel" 1. (Similarity.cosine [| 1.; 2. |] [| 2.; 4. |]);
-  check_float "orthogonal" 0. (Similarity.cosine [| 1.; 0. |] [| 0.; 1. |]);
-  check_float "zero vector" 0. (Similarity.cosine [| 0.; 0. |] [| 1.; 1. |])
+  check_float "parallel" 1. (Dense.cosine [| 1.; 2. |] [| 2.; 4. |]);
+  check_float "orthogonal" 0. (Dense.cosine [| 1.; 0. |] [| 0.; 1. |]);
+  check_float "zero vector" 0. (Dense.cosine [| 0.; 0. |] [| 1.; 1. |])
 
 let test_angular_similarity_range () =
   check_float "parallel" 1.
-    (Similarity.angular_similarity [| 1.; 1. |] [| 2.; 2. |]);
+    (Dense.angular_similarity [| 1.; 1. |] [| 2.; 2. |]);
   check_float "orthogonal" 0.
-    (Similarity.angular_similarity [| 1.; 0. |] [| 0.; 1. |])
+    (Dense.angular_similarity [| 1.; 0. |] [| 0.; 1. |])
 
 let test_feature_vectors () =
   let m = [| [| 0.; 5. |]; [| 7.; 0. |] |] in
-  let f = Similarity.feature_vectors m in
+  let f = Dense.feature_vectors m in
   Alcotest.(check (array (float 1e-9))) "vm0 = row0 ++ col0" [| 0.; 5.; 0.; 7. |] f.(0);
   Alcotest.(check (array (float 1e-9))) "vm1 = row1 ++ col1" [| 7.; 0.; 5.; 0. |] f.(1)
 
@@ -86,7 +87,7 @@ let test_projection_symmetric () =
   let rng = Rng.create 4 in
   let tag = Cm_tag.Examples.storm ~s:3 ~b:10. in
   let tm = Tm.generate ~rng tag in
-  let g = Similarity.projection_graph (Tm.mean_matrix tm) in
+  let g = Dense.projection_graph (Dense.mean_matrix tm) in
   Array.iteri
     (fun i row ->
       check_float "zero diagonal" 0. row.(i);
@@ -110,8 +111,12 @@ let two_cliques n =
   g.(n).(0) <- 0.01;
   g
 
+(* Behavioural tests build small graphs densely and cluster them on the
+   production CSR path. *)
+let cluster ?resolution g = Louvain.cluster_csr ?resolution (Dense.to_csr g)
+
 let test_louvain_two_cliques () =
-  let labels = Louvain.cluster (two_cliques 6) in
+  let labels = cluster (two_cliques 6) in
   Alcotest.(check int) "two communities" 2 (1 + Array.fold_left max 0 labels);
   for i = 1 to 5 do
     Alcotest.(check int) "clique 1 together" labels.(0) labels.(i)
@@ -123,33 +128,33 @@ let test_louvain_two_cliques () =
 
 let test_louvain_improves_modularity () =
   let g = two_cliques 5 in
-  let labels = Louvain.cluster g in
+  let labels = cluster g in
   let trivial = Array.make 10 0 in
   Alcotest.(check bool) "better than one blob" true
-    (Louvain.modularity g labels > Louvain.modularity g trivial)
+    (Dense.modularity g labels > Dense.modularity g trivial)
 
 let test_louvain_resolution () =
   let g = two_cliques 5 in
   (* Low resolution merges everything; default separates the cliques. *)
-  let coarse = Louvain.cluster ~resolution:0.0001 g in
+  let coarse = cluster ~resolution:0.0001 g in
   Alcotest.(check int) "gamma near 0 merges" 1 (1 + Array.fold_left max 0 coarse);
-  let normal = Louvain.cluster g in
+  let normal = cluster g in
   Alcotest.(check int) "gamma=1 splits" 2 (1 + Array.fold_left max 0 normal);
   (* Very high resolution shatters the cliques further. *)
-  let fine = Louvain.cluster ~resolution:20. g in
+  let fine = cluster ~resolution:20. g in
   Alcotest.(check bool) "gamma=20 shatters" true
     (1 + Array.fold_left max 0 fine > 2)
 
 let test_louvain_empty_graph () =
   let g = Array.make_matrix 4 4 0. in
-  let labels = Louvain.cluster g in
+  let labels = cluster g in
   Alcotest.(check int) "labels length" 4 (Array.length labels)
 
 let test_modularity_perfect_split () =
   let g = two_cliques 4 in
   let labels = Array.init 8 (fun i -> i / 4) in
   Alcotest.(check bool) "positive modularity" true
-    (Louvain.modularity g labels > 0.3)
+    (Dense.modularity g labels > 0.3)
 
 let test_louvain_tie_break () =
   (* Two symmetric 3-cliques and a bridge node 6 attached to node 0 and
@@ -172,12 +177,10 @@ let test_louvain_tie_break () =
   g.(0).(6) <- 1.;
   g.(6).(3) <- 1.;
   g.(3).(6) <- 1.;
-  let labels = Louvain.cluster g in
+  let labels = cluster g in
   Alcotest.(check (array int))
     "bridge joins the lower-id clique" [| 0; 0; 0; 1; 1; 1; 0 |] labels;
-  Alcotest.(check (array int))
-    "csr path agrees" labels
-    (Louvain.cluster_csr (Csr.of_dense g))
+  Alcotest.(check (array int)) "dense oracle agrees" labels (Dense.cluster g)
 
 let random_graph ~seed ~n ~density =
   (* Random sparse symmetric weighted graph (self-loops included now
@@ -201,7 +204,7 @@ let prop_louvain_dense_csr_identical =
     QCheck.(pair (int_range 2 24) (int_range 0 10_000))
     (fun (n, seed) ->
       let g = random_graph ~seed ~n ~density:0.3 in
-      Louvain.cluster g = Louvain.cluster_csr (Csr.of_dense g))
+      Dense.cluster g = Louvain.cluster_csr (Dense.to_csr g))
 
 let prop_louvain_modularity_nondecreasing =
   (* Each accepted local-moving pass must not decrease the modularity
@@ -211,7 +214,7 @@ let prop_louvain_modularity_nondecreasing =
     (fun (n, seed) ->
       let g = random_graph ~seed:(seed + 77) ~n ~density:0.35 in
       let assignment = Array.init n Fun.id in
-      let q = ref (Louvain.modularity g assignment) in
+      let q = ref (Dense.modularity g assignment) in
       let ok = ref true in
       let rec loop adj =
         let labels, improved = Louvain.one_level_csr adj in
@@ -219,42 +222,49 @@ let prop_louvain_modularity_nondecreasing =
           for i = 0 to n - 1 do
             assignment.(i) <- labels.(assignment.(i))
           done;
-          let q' = Louvain.modularity g assignment in
+          let q' = Dense.modularity g assignment in
           if q' < !q -. 1e-9 then ok := false;
           q := q';
           let n_comm = 1 + Array.fold_left max 0 labels in
           if n_comm < adj.Csr.n then loop (Louvain.aggregate_csr adj labels)
         end
       in
-      loop (Csr.of_dense g);
+      loop (Dense.to_csr g);
       !ok)
 
 let test_projection_csr_matches_dense () =
   let rng = Rng.create 21 in
   let tag = Cm_tag.Examples.three_tier ~b1:80. ~b2:30. ~b3:10. () in
   let tm = Tm.generate ~noise_prob:0.1 ~rng tag in
-  let dense = Similarity.projection_graph (Tm.mean_matrix tm) in
+  let dense = Dense.projection_graph (Dense.mean_matrix tm) in
   let sparse = Similarity.projection_csr (Tm.mean_csr tm) in
   Alcotest.(check bool) "bit-identical projection" true
-    (Csr.equal (Csr.of_dense dense) sparse)
+    (Csr.equal (Dense.to_csr dense) sparse)
 
 let test_mean_csr_matches_dense () =
   let rng = Rng.create 22 in
   let tag = Cm_tag.Examples.storm ~s:4 ~b:25. in
   let tm = Tm.generate ~epochs:5 ~noise_prob:0.15 ~rng tag in
-  Alcotest.(check bool) "mean_matrix is the dense view of mean_csr" true
-    (Csr.to_dense (Tm.mean_csr tm) = Tm.mean_matrix tm);
+  (* A dense mean summed per cell in epoch order and divided once is
+     bitwise the sparse mean. *)
+  let n = tm.n_vms in
+  let k = float_of_int (Array.length tm.epochs) in
+  let sum = Array.make_matrix n n 0. in
+  Array.iter
+    (fun e -> Csr.iter_nz e (fun i j v -> sum.(i).(j) <- sum.(i).(j) +. v))
+    tm.epochs;
+  Alcotest.(check bool) "sum-then-divide dense mean is bitwise mean_csr" true
+    (Csr.equal (Dense.to_csr (Array.map (Array.map (fun x -> x /. k)) sum))
+       (Tm.mean_csr tm));
   (* Against a from-scratch dense mean with per-epoch division (the old
      code): agreement to tolerance, since the sparse path divides
      once. *)
-  let n = tm.n_vms in
   let dense = Array.make_matrix n n 0. in
-  let k = float_of_int (Array.length tm.epochs) in
   Array.iter
     (fun e ->
       Csr.iter_nz e (fun i j v -> dense.(i).(j) <- dense.(i).(j) +. (v /. k)))
     tm.epochs;
-  let m = Tm.mean_matrix tm in
+  let m = Dense.mean_matrix tm in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       Alcotest.(check (float 1e-9)) "cell" dense.(i).(j) m.(i).(j)
@@ -520,7 +530,7 @@ let prop_csv_roundtrip_cell_identical =
       let rng = Rng.create seed in
       let epochs =
         Array.init n_epochs (fun _ ->
-            Csr.of_dense
+            Dense.to_csr
               (Array.init n (fun i ->
                    Array.init n (fun j ->
                        (* Pin cell (0, n-1) so the exported text carries
@@ -554,7 +564,7 @@ let prop_louvain_labels_compact =
   QCheck.Test.make ~name:"louvain labels are 0..k-1" ~count:50
     QCheck.(int_range 2 6)
     (fun n ->
-      let labels = Louvain.cluster (two_cliques n) in
+      let labels = cluster (two_cliques n) in
       let k = 1 + Array.fold_left max 0 labels in
       let seen = Array.make k false in
       Array.iter (fun l -> seen.(l) <- true) labels;

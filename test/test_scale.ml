@@ -5,9 +5,9 @@
      availability index consistent with a from-scratch rebuild
      ([Tree.index_verify] oracle), with lazy [find_lowest] queries
      mixed in mid-transaction.
-   - engine differential: [find_lowest_under] at the tree root with
-     infinite clamps is exactly [find_lowest], under the [Checked]
-     engine (which asserts scan == indexed per query).
+   - index differential: [find_lowest_under] at the tree root with
+     infinite clamps is exactly [find_lowest], every query checked
+     against the oracle scan ([Cm_oracle.Placement]).
    - [Subtree.all_under_array] against an independent recursive
      reference, for every node of the tree.
    - [Shard.place_batch]: identical results at any domain count,
@@ -67,7 +67,7 @@ let random_tag rng =
 let lazy_query tree rng =
   let level = Rng.int rng (Tree.n_levels tree - 1) in
   ignore
-    (Subtree.find_lowest ~engine:Subtree.Checked tree
+    (Cm_oracle.Placement.find_lowest tree
        ~total_vms:(1 + Rng.int rng 6)
        ~ext:(Rng.range_float rng ~lo:0. ~hi:400., Rng.range_float rng ~lo:0. ~hi:400.)
        ~level)
@@ -141,11 +141,10 @@ let test_under_root_is_global () =
     for vms = 1 to 6 do
       let ext = (float_of_int (vms * 60), float_of_int (vms * 40)) in
       let global =
-        Subtree.find_lowest ~engine:Subtree.Checked tree ~total_vms:vms ~ext
-          ~level
+        Cm_oracle.Placement.find_lowest tree ~total_vms:vms ~ext ~level
       in
       let scoped =
-        Subtree.find_lowest_under ~engine:Subtree.Checked tree ~root
+        Cm_oracle.Placement.find_lowest_under tree ~root
           ~clamps:(infinity, infinity) ~total_vms:vms ~ext ~level
       in
       Alcotest.(check (option int))
@@ -155,6 +154,43 @@ let test_under_root_is_global () =
   done;
   Alcotest.(check bool) "index verifies after queries" true
     (Tree.index_verify tree)
+
+let test_oracle_detects_other_feasible_node () =
+  (* The per-query check must not pass vacuously: another server that
+     also fits the query, handed in as the index's answer, has to be
+     reported. *)
+  let tree = Tree.create diff_spec in
+  let sched = Cm.create tree in
+  let rng = Rng.create 7 in
+  for _ = 1 to 10 do
+    ignore (Cm.place sched (Types.request (random_tag rng)))
+  done;
+  let total_vms = 1 and ext = (10., 10.) and level = 0 in
+  let answer = Cm_oracle.Placement.find_lowest tree ~total_vms ~ext ~level in
+  let fits s =
+    let up, down = Tree.available_to_root tree s in
+    Tree.free_slots_subtree tree s >= total_vms && up >= 10. && down >= 10.
+  in
+  let other =
+    List.find
+      (fun s -> Some s <> answer && fits s)
+      (Array.to_list (Tree.nodes_at_level tree level))
+  in
+  let root = Tree.root tree in
+  match
+    Cm_oracle.Check.result (fun () ->
+        Cm_oracle.Placement.check_answer tree ~root
+          ~clamps:(infinity, infinity) ~total_vms ~ext ~level (Some other))
+  with
+  | Ok () ->
+      Alcotest.failf "answer %d instead of the best fit went unreported" other
+  | Error msg ->
+      Alcotest.(check bool) msg true
+        (String.starts_with
+           ~prefix:
+             (Printf.sprintf "placement: find_lowest under node %d at level 0"
+                root)
+           msg)
 
 (* {1 all_under_array vs. an independent recursive reference} *)
 
@@ -181,11 +217,7 @@ let test_all_under_array () =
     Alcotest.(check (list int))
       (Printf.sprintf "all_under_array node %d" node)
       expect
-      (Array.to_list (Subtree.all_under_array tree node));
-    Alcotest.(check (list int))
-      (Printf.sprintf "all_under node %d" node)
-      expect
-      (Subtree.all_under tree node)
+      (Array.to_list (Subtree.all_under_array tree node))
   done
 
 (* {1 Shard batches: jobs-invariant, pristine release, conflict path} *)
@@ -386,6 +418,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_index_interleavings;
           Alcotest.test_case "find_lowest_under root == find_lowest" `Quick
             test_under_root_is_global;
+          Alcotest.test_case "oracle detects another feasible node" `Quick
+            test_oracle_detects_other_feasible_node;
           Alcotest.test_case "all_under_array vs recursive reference" `Quick
             test_all_under_array;
         ] );

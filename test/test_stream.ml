@@ -1,6 +1,7 @@
 (* Tests for Cm_inference.Stream: the sliding CSR window, seeded
-   Louvain refinement, drift generation, the Cold/Incremental/Checked
-   streaming engine, and the e2e cost of stale guarantees. *)
+   Louvain refinement, drift generation, the streaming engine checked
+   against the batch pipeline every tick (Cm_oracle.Inference), and the
+   e2e cost of stale guarantees. *)
 
 module Csr = Cm_util.Csr
 module Window = Cm_util.Csr.Window
@@ -17,6 +18,7 @@ module Louvain = Cm_inference.Louvain
 module Ami = Cm_inference.Ami
 module Infer = Cm_inference.Infer
 module Stream = Cm_inference.Stream
+module Dense = Cm_oracle.Dense
 
 (* A four-stage pipeline service: the streaming workload fixture. *)
 let pipeline_tag ?(tier = 12) () =
@@ -33,7 +35,7 @@ let pipeline_tag ?(tier = 12) () =
     ()
 
 let random_epoch rng n =
-  Csr.of_dense
+  Dense.to_csr
     (Array.init n (fun i ->
          Array.init n (fun j ->
              if i <> j && Rng.uniform rng < 0.3 then
@@ -187,21 +189,25 @@ let test_drift_rate_keeps_truth_and_support () =
   (* Same sparsity pattern: rate drift only re-rolls wobbles. *)
   Alcotest.(check int) "same nnz" (Csr.nnz e1) (Csr.nnz e2)
 
-(* {1 Streaming engine: Checked parity} *)
+(* {1 Streaming engine: oracle parity} *)
 
-(* Under [Checked] every push asserts the incremental state against the
-   from-scratch pipeline; a divergence raises [Failure] and fails the
-   test.  Returns the final stream for further assertions. *)
-let run_checked ?config ?(tier = 12) ~seed steps =
+(* Push an epoch and check the stream against the from-scratch pipeline
+   over its window; a divergence raises [Cm_oracle.Check.Mismatch] and
+   fails the test. *)
+let push_checked s e =
+  let st = Stream.push s e in
+  ignore (Cm_oracle.Inference.check_tick s st);
+  st
+
+(* Returns the final stream for further assertions. *)
+let run_checked ?(tier = 12) ~seed steps =
   let rng = Rng.create seed in
   let tag = pipeline_tag ~tier () in
   let d = Tm.Drift.create ~rng tag in
-  let s =
-    Stream.create ?config ~engine:Stream.Checked ~n:(Tm.Drift.n_vms d) ()
-  in
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
   List.iter
     (fun (rate_drifters, role_drifters) ->
-      ignore (Stream.push s (Tm.Drift.step ~rate_drifters ~role_drifters d)))
+      ignore (push_checked s (Tm.Drift.step ~rate_drifters ~role_drifters d)))
     steps;
   (s, d)
 
@@ -227,9 +233,9 @@ let test_checked_window_slides_past_burst () =
   let d = Tm.Drift.create ~rng tag in
   let base = Tm.Drift.step d in
   let burst = Csr.scale 2.5 base in
-  let s = Stream.create ~engine:Stream.Checked ~n:(Tm.Drift.n_vms d) () in
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
   List.iter
-    (fun e -> ignore (Stream.push s e))
+    (fun e -> ignore (push_checked s e))
     [ base; base; burst; base; base; base; base; base ];
   (* Once the burst left the window, the mean is the stationary one. *)
   Alcotest.(check bool) "mean recovered after the burst" true
@@ -305,22 +311,51 @@ let test_stream_domain_invariance () =
     one four
 
 let test_stream_cold_matches_incremental_on_stationary () =
-  (* On a stationary stream both engines sit on the identical cold
-     labelling and peaks. *)
+  (* Past warm-up a stationary stream runs incremental ticks, and they
+     sit on the identical cold labelling and peaks. *)
   let rng = Rng.create 44 in
   let d = Tm.Drift.create ~rng (pipeline_tag ~tier:8 ()) in
   let e = Tm.Drift.step d in
-  let run engine =
-    let s = Stream.create ~engine ~n:(Tm.Drift.n_vms d) () in
-    for _ = 1 to 6 do
-      ignore (Stream.push s e)
-    done;
-    (Stream.labels s, snd (Stream.peaks s))
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
+  for _ = 1 to 6 do
+    ignore (Stream.push s e)
+  done;
+  let epochs = Stream.window_epochs s in
+  let cold =
+    Louvain.cluster_csr
+      (Similarity.projection_csr (Tm.mean_csr (Tm.of_epochs epochs)))
   in
-  let cl, cp = run Stream.Cold in
-  let il, ip = run Stream.Incremental in
-  Alcotest.(check (array int)) "same labels" cl il;
-  Alcotest.(check bool) "same peaks" true (cp = ip)
+  Alcotest.(check (array int)) "same labels" cold (Stream.labels s);
+  Alcotest.(check bool) "same peaks" true
+    (snd (Infer.component_peaks epochs cold) = snd (Stream.peaks s))
+
+let test_oracle_detects_divergence () =
+  (* The per-tick check must not pass vacuously: a projection from the
+     previous tick, or one peak nudged by one ulp, has to be reported. *)
+  let rng = Rng.create 35 in
+  let d = Tm.Drift.create ~rng (pipeline_tag ~tier:8 ()) in
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
+  for _ = 1 to 7 do
+    ignore (push_checked s (Tm.Drift.step ~rate_drifters:3 d))
+  done;
+  let stale = Stream.projection s in
+  let st = Stream.push s (Tm.Drift.step ~rate_drifters:3 d) in
+  let obs = Cm_oracle.Inference.observe s st in
+  Alcotest.(check bool) "the stale projection differs" false
+    (Csr.equal stale obs.projection);
+  let expect_mismatch what obs =
+    match Cm_oracle.Check.result (fun () -> Cm_oracle.Inference.check obs) with
+    | Ok _ -> Alcotest.failf "%s went unreported" what
+    | Error msg ->
+        Alcotest.(check string) what
+          ("inference: " ^ what ^ " diverged from batch")
+          msg
+  in
+  expect_mismatch "similarity graph" { obs with projection = stale };
+  let peaks = Array.copy obs.peaks in
+  peaks.(0) <- Float.succ peaks.(0);
+  expect_mismatch "guarantee peaks" { obs with peaks };
+  ignore (Cm_oracle.Inference.check obs)
 
 (* {1 Drift events} *)
 
@@ -454,6 +489,8 @@ let () =
           Alcotest.test_case "window slides past burst" `Quick
             test_checked_window_slides_past_burst;
           Alcotest.test_case "role drift" `Quick test_checked_role_drift;
+          Alcotest.test_case "oracle detects divergence" `Quick
+            test_oracle_detects_divergence;
         ] );
       ( "engine",
         [

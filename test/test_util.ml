@@ -452,13 +452,14 @@ let test_pqueue_clear () =
 (* {1 Csr} *)
 
 module Csr = Cm_util.Csr
+module Dense = Cm_oracle.Dense
 
 let sample_dense =
   [| [| 0.; 1.5; 0.; 2. |]; [| 0.; 0.; 0.; 0. |]; [| 3.; 0.; 0.5; 0. |];
      [| 0.; 4.; 0.; 0. |] |]
 
 let test_csr_of_dense () =
-  let t = Csr.of_dense sample_dense in
+  let t = Dense.to_csr sample_dense in
   Alcotest.(check int) "nnz" 5 (Csr.nnz t);
   Alcotest.(check int) "row 0 nnz" 2 (Csr.row_nnz t 0);
   Alcotest.(check int) "row 1 nnz" 0 (Csr.row_nnz t 1);
@@ -467,10 +468,10 @@ let test_csr_of_dense () =
   check_float "get empty row" 0. (Csr.get t 1 3)
 
 let test_csr_roundtrip () =
-  let t = Csr.of_dense sample_dense in
-  Alcotest.(check bool) "dense round-trip" true (Csr.to_dense t = sample_dense);
+  let t = Dense.to_csr sample_dense in
+  Alcotest.(check bool) "dense round-trip" true (Dense.of_csr t = sample_dense);
   Alcotest.(check bool) "csr round-trip" true
-    (Csr.equal t (Csr.of_dense (Csr.to_dense t)))
+    (Csr.equal t (Dense.to_csr (Dense.of_csr t)))
 
 let test_csr_of_row_lists () =
   (* Duplicate columns sum in list order; non-positive sums are dropped. *)
@@ -488,7 +489,7 @@ let test_csr_of_row_lists () =
       with Invalid_argument _ -> raise (Invalid_argument ""))
 
 let test_csr_iteration_order () =
-  let t = Csr.of_dense sample_dense in
+  let t = Dense.to_csr sample_dense in
   let seen = ref [] in
   Csr.iter_nz t (fun i j v -> seen := (i, j, v) :: !seen);
   Alcotest.(check bool) "row-major ascending" true
@@ -496,20 +497,20 @@ let test_csr_iteration_order () =
     = [ (0, 1, 1.5); (0, 3, 2.); (2, 0, 3.); (2, 2, 0.5); (3, 1, 4.) ])
 
 let test_csr_sums () =
-  let t = Csr.of_dense sample_dense in
+  let t = Dense.to_csr sample_dense in
   Alcotest.(check (array (float 1e-12)))
     "row sums" [| 3.5; 0.; 3.5; 4. |] (Csr.row_sums t);
   check_float "total" 11. (Csr.total t)
 
 let test_csr_transpose () =
-  let t = Csr.of_dense sample_dense in
+  let t = Dense.to_csr sample_dense in
   let tt = Csr.transpose t in
   check_float "moved" 3. (Csr.get tt 0 2);
   check_float "symmetric slot empty" 0. (Csr.get tt 2 0);
   Alcotest.(check bool) "involution" true (Csr.equal t (Csr.transpose tt))
 
 let test_csr_scale () =
-  let t = Csr.of_dense sample_dense in
+  let t = Dense.to_csr sample_dense in
   check_float "scaled" 3. (Csr.get (Csr.scale 2. t) 0 1);
   Alcotest.check_raises "non-positive factor" (Invalid_argument "")
     (fun () ->
@@ -537,7 +538,7 @@ let test_csr_of_upper () =
     |]
   in
   Alcotest.(check bool) "symmetric mirror" true
-    (Csr.equal t (Csr.of_dense dense));
+    (Csr.equal t (Dense.to_csr dense));
   Alcotest.check_raises "column not above diagonal" (Invalid_argument "")
     (fun () ->
       try ignore (Csr.of_upper ~n:2 [| ([| 0 |], [| 1. |]); ([||], [||]) |])
@@ -554,7 +555,7 @@ let prop_csr_dense_roundtrip =
             Array.init n (fun _ ->
                 if Rng.uniform rng < 0.4 then Rng.uniform rng *. 10. else 0.))
       in
-      Csr.to_dense (Csr.of_dense m) = m)
+      Dense.of_csr (Dense.to_csr m) = m)
 
 let () =
   Alcotest.run "cm_util"
