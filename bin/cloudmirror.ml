@@ -260,7 +260,9 @@ let run_place metrics example file alg rwcs =
   Fun.protect ~finally:(fun () -> finish_metrics metrics) @@ fun () ->
   match
     match file with
-    | Some path -> Cm_tag.Tag_format.of_file path
+    | Some path ->
+        Result.map_error Cm_tag.Tag_format.error_to_string
+          (Cm_tag.Tag_format.of_file path)
     | None -> (
         try Ok (example_tag example) with Invalid_argument m -> Error m)
   with

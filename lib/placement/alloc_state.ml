@@ -21,6 +21,7 @@ type t = {
   counts : (int, int array) Hashtbl.t;
   bw : (int, float * float) Hashtbl.t;
   zero_counts : int array; (* shared all-zeros inside-vector; never mutated *)
+  probe_inside : int array; (* [max_fit]'s scratch inside-vector *)
   (* Cache of the count rows along the server→root path most recently
      walked: rows are stable (entries are added to [counts], never
      removed or replaced), so resolving the Hashtbl chain once per
@@ -61,6 +62,7 @@ let create ?(model = Bandwidth.Tag_model) ?ha the_tree the_tag =
     counts = Hashtbl.create 64;
     bw = Hashtbl.create 64;
     zero_counts = Array.make n 0;
+    probe_inside = Array.make n 0;
     path_server = -1;
     path_len = 0;
     path_rows = Array.make (Tree.n_levels the_tree) [||];
@@ -230,6 +232,9 @@ let place t ~server ~comp ~n =
     true
   end
 
+let reserved_baseline t node =
+  match Hashtbl.find_opt t.bw node with Some p -> p | None -> (0., 0.)
+
 let sync_bw t ~node =
   if node = Tree.root t.the_tree then true
   else
@@ -243,9 +248,7 @@ let sync_bw t ~node =
     let required_up, required_down =
       Bandwidth.required t.the_model t.the_tag ~inside
     in
-    let cur_up, cur_down =
-      match Hashtbl.find_opt t.bw node with Some p -> p | None -> (0., 0.)
-    in
+    let cur_up, cur_down = reserved_baseline t node in
     let d_up = required_up -. cur_up and d_down = required_down -. cur_down in
     if d_up = 0. && d_down = 0. then true
     else if Reservation.reserve_bw t.txn ~node ~up:d_up ~down:d_down then begin
@@ -254,6 +257,38 @@ let sync_bw t ~node =
       true
     end
     else false
+
+(* What [place ~n:k] then [sync_bw ~node:server] would decide, for
+   every k from [cap] down, without doing either: the candidate
+   inside-vector is the server's row with [k] more VMs of [comp], built
+   in a scratch array, and it is priced against the same baseline with
+   [sync_bw]'s test ([Reservation.fits_bw] also passes the zero-delta
+   short-cut).  Only the uplink is checked — the caller clamps [cap] by
+   free slots and the Eq. 7 cap, the other ways [place] can fail. *)
+let max_fit t ~server ~comp ~cap =
+  (* Full servers come up often while packing: skip the lookups. *)
+  if cap <= 0 then 0
+  else begin
+    let inside = t.probe_inside in
+    (match Hashtbl.find_opt t.counts server with
+    | Some row -> Array.blit row 0 inside 0 (Array.length row)
+    | None -> Array.fill inside 0 (Array.length inside) 0);
+    let base = inside.(comp) in
+    let cur_up, cur_down = reserved_baseline t server in
+    let rec probe k =
+      if k = 0 then 0
+      else begin
+        inside.(comp) <- base + k;
+        let up, down = Bandwidth.required t.the_model t.the_tag ~inside in
+        if
+          Reservation.fits_bw t.txn ~node:server ~up:(up -. cur_up)
+            ~down:(down -. cur_down)
+        then k
+        else probe (k - 1)
+      end
+    in
+    probe cap
+  end
 
 let checkpoint t = { jcp = t.jlen; rcp = Reservation.checkpoint t.txn }
 

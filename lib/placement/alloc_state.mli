@@ -71,6 +71,13 @@ val sync_bw : t -> node:int -> bool
     the current inside-counts ([ReserveBW] for a single link).  Returns
     [false] — recording nothing — if the increase does not fit. *)
 
+val max_fit : t -> server:int -> comp:int -> cap:int -> int
+(** The largest [k <= cap] for which {!place} [~n:k] followed by
+    {!sync_bw} on [server] would fit the server's uplink; 0 when none
+    does.  Pure: it writes nothing to the state, the journal or the
+    tree.  Only the uplink is checked, so the caller clamps [cap] by
+    the server's free slots and {!ha_cap}. *)
+
 val sync_path_above : ?top:int -> t -> node:int -> bool
 (** [sync_bw] on every node from [node]'s parent up to [top] (inclusive;
     default the root — identical behaviour, since syncing the root's

@@ -9,8 +9,10 @@ let create the_tree = { the_tree }
 let tree t = t.the_tree
 
 (* Pack as many of [want] VMs of [comp] as possible onto one server,
-   preferring maximal colocation: try the largest count first and back off
-   until the server's uplink fits the VOC requirement. *)
+   preferring maximal colocation: the largest count whose server uplink
+   fits the VOC requirement.  [cap] already respects free slots and the
+   Eq. 7 cap, so the bandwidth test [State.max_fit] ran is the only way
+   the placement could fail. *)
 let place_max_on_server state ~server ~comp ~want =
   let the_tree = State.tree state in
   let cost = Tag.vm_slots (State.tag state) comp in
@@ -19,21 +21,14 @@ let place_max_on_server state ~server ~comp ~want =
       (min want (Tree.free_slots the_tree server / cost))
       (State.ha_cap state ~node:server ~comp)
   in
-  let rec try_k k =
-    if k <= 0 then 0
-    else begin
-      let cp = State.checkpoint state in
-      if
-        State.place state ~server ~comp ~n:k
-        && State.sync_bw state ~node:server
-      then k
-      else begin
-        State.rollback_to state cp;
-        try_k (k - 1)
-      end
-    end
-  in
-  try_k cap
+  let k = State.max_fit state ~server ~comp ~cap in
+  if k > 0 then begin
+    let placed =
+      State.place state ~server ~comp ~n:k && State.sync_bw state ~node:server
+    in
+    assert placed
+  end;
+  k
 
 (* Place one whole cluster under [sub] by packing servers greedily in
    id order (contiguous ids keep the cluster within as few racks as

@@ -1,13 +1,14 @@
 let check_inside tag inside =
-  if Array.length inside <> Tag.n_components tag then
+  let n = Tag.n_components tag in
+  if Array.length inside <> n then
     invalid_arg "Bandwidth: inside vector length mismatch";
-  Array.iteri
-    (fun c n ->
-      if n < 0 || n > Tag.size tag c then
-        invalid_arg
-          (Printf.sprintf "Bandwidth: inside.(%d)=%d out of [0,%d]" c n
-             (Tag.size tag c)))
-    inside
+  for c = 0 to n - 1 do
+    let k = inside.(c) in
+    if k < 0 || k > Tag.size tag c then
+      invalid_arg
+        (Printf.sprintf "Bandwidth: inside.(%d)=%d out of [0,%d]" c k
+           (Tag.size tag c))
+  done
 
 let fi = float_of_int
 let outside tag inside c = Tag.size tag c - inside.(c)
@@ -199,14 +200,24 @@ let trunk_saving_amount tag (e : Tag.edge) ~src_inside ~dst_inside =
 
 type model = Tag_model | Hose_model | Voc_model | Pipe_model
 
-(* Fused single-pass [ (tag_out, tag_in) ]: one walk over the edge array
-   with one accumulator per (direction, edge class) pair, combined in the
-   same order the separate sums used — bit-identical to calling [tag_out]
-   and [tag_in], at a sixth of the edge traffic.  This sits on the
-   placement hot path ([Alloc_state.sync_bw] prices an uplink on every
-   server allocation and every path sync). *)
+(* {2 The pricing kernel}
+
+   [required] prices an uplink on every server allocation and every path
+   sync of the placement hot path, so its TAG and VOC cases are written
+   as straight loops over the edge and component arrays: no closures, no
+   list folds, and no calls to float-returning helpers.  Without flambda
+   a float function that is not inlined, such as [edge_out], boxes its
+   result, and across modules its arguments too; [Float.min] itself is
+   inlined from the stdlib.  Externals are recognised by index (at or
+   past [n_components], as in [Tag.is_external]) rather than by a call
+   per edge.  Each case keeps one accumulator per term of the
+   per-direction formulas above and adds into it in the same order,
+   with the same association, so the pair is bit-identical to
+   [(tag_out, tag_in)] and [(voc_out, voc_in)]. *)
+
 let tag_required tag ~inside =
   check_inside tag inside;
+  let nc = Tag.n_components tag in
   let trunk_out = ref 0.
   and hose_out = ref 0.
   and ext_out = ref 0.
@@ -216,31 +227,84 @@ let tag_required tag ~inside =
   let edges = Tag.edges tag in
   for i = 0 to Array.length edges - 1 do
     let e = edges.(i) in
-    let sx = Tag.is_external tag e.src and dx = Tag.is_external tag e.dst in
-    if (not sx) && not dx then
+    let sx = e.src >= nc and dx = e.dst >= nc in
+    if (not sx) && not dx then begin
+      let src_in = inside.(e.src) and dst_in = inside.(e.dst) in
+      let src_out = Tag.size tag e.src - src_in
+      and dst_out = Tag.size tag e.dst - dst_in in
+      let out = Float.min (fi src_in *. e.snd_bw) (fi dst_out *. e.rcv_bw)
+      and into =
+        Float.min (fi src_out *. e.snd_bw) (fi dst_in *. e.rcv_bw)
+      in
       if e.src = e.dst then begin
-        hose_out := !hose_out +. edge_out tag inside e;
-        hose_in := !hose_in +. edge_in tag inside e
+        hose_out := !hose_out +. out;
+        hose_in := !hose_in +. into
       end
       else begin
-        trunk_out := !trunk_out +. edge_out tag inside e;
-        trunk_in := !trunk_in +. edge_in tag inside e
+        trunk_out := !trunk_out +. out;
+        trunk_in := !trunk_in +. into
       end
-    else begin
-      if (not sx) && dx then
-        ext_out := !ext_out +. (fi inside.(e.src) *. e.snd_bw);
-      if sx && not dx then
-        ext_in := !ext_in +. (fi inside.(e.dst) *. e.rcv_bw)
     end
+    else if not sx then ext_out := !ext_out +. (fi inside.(e.src) *. e.snd_bw)
+    else if not dx then ext_in := !ext_in +. (fi inside.(e.dst) *. e.rcv_bw)
   done;
   ( !trunk_out +. !hose_out +. !ext_out,
     !trunk_in +. !hose_in +. !ext_in )
+
+(* One walk over the edges builds the per-VM inter-cluster guarantees
+   of every component ([per_vm.(c)] send, [per_vm.(nc + c)] receive) in
+   edge-array order, which is the order of [Tag.out_edges] and
+   [Tag.in_edges], and sums the self-loop hoses and external edges on
+   the way; one walk over the components then weighs them by the inside
+   and outside counts. *)
+let voc_required tag ~inside =
+  check_inside tag inside;
+  let nc = Tag.n_components tag in
+  let per_vm = Array.make (2 * nc) 0. in
+  let hose_out = ref 0.
+  and ext_out = ref 0.
+  and hose_in = ref 0.
+  and ext_in = ref 0. in
+  let edges = Tag.edges tag in
+  for i = 0 to Array.length edges - 1 do
+    let e = edges.(i) in
+    let sx = e.src >= nc and dx = e.dst >= nc in
+    if (not sx) && not dx then
+      if e.src = e.dst then begin
+        let ins = inside.(e.src) in
+        let outs = Tag.size tag e.src - ins in
+        hose_out :=
+          !hose_out +. Float.min (fi ins *. e.snd_bw) (fi outs *. e.rcv_bw);
+        hose_in :=
+          !hose_in +. Float.min (fi outs *. e.snd_bw) (fi ins *. e.rcv_bw)
+      end
+      else begin
+        per_vm.(e.src) <- per_vm.(e.src) +. e.snd_bw;
+        per_vm.(nc + e.dst) <- per_vm.(nc + e.dst) +. e.rcv_bw
+      end
+    else if not sx then ext_out := !ext_out +. (fi inside.(e.src) *. e.snd_bw)
+    else if not dx then ext_in := !ext_in +. (fi inside.(e.dst) *. e.rcv_bw)
+  done;
+  let send_out = ref 0.
+  and recv_out = ref 0.
+  and send_in = ref 0.
+  and recv_in = ref 0. in
+  for c = 0 to nc - 1 do
+    let ins = fi inside.(c) and outs = fi (Tag.size tag c - inside.(c)) in
+    let send = per_vm.(c) and recv = per_vm.(nc + c) in
+    send_out := !send_out +. (ins *. send);
+    recv_out := !recv_out +. (outs *. recv);
+    send_in := !send_in +. (outs *. send);
+    recv_in := !recv_in +. (ins *. recv)
+  done;
+  ( Float.min !send_out !recv_out +. !hose_out +. !ext_out,
+    Float.min !send_in !recv_in +. !hose_in +. !ext_in )
 
 let required model tag ~inside =
   match model with
   | Tag_model -> tag_required tag ~inside
   | Hose_model -> (hose_out tag ~inside, hose_in tag ~inside)
-  | Voc_model -> (voc_out tag ~inside, voc_in tag ~inside)
+  | Voc_model -> voc_required tag ~inside
   | Pipe_model -> (pipe_out tag ~inside, pipe_in tag ~inside)
 
 let model_name = function

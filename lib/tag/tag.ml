@@ -32,6 +32,10 @@ let validate ~n_components ~n_externals ~components ~edges =
           (Printf.sprintf
              "Tag.create: edge (%d,%d) connects two external components" src
              dst);
+      if not (Float.is_finite snd_bw && Float.is_finite rcv_bw) then
+        invalid_arg
+          (Printf.sprintf "Tag.create: edge (%d,%d) has a non-finite bandwidth"
+             src dst);
       if snd_bw < 0. || rcv_bw < 0. then
         invalid_arg
           (Printf.sprintf "Tag.create: edge (%d,%d) has negative bandwidth"

@@ -62,8 +62,8 @@ val create :
     edges to other externals.
 
     @raise Invalid_argument if a size is non-positive, a bandwidth is
-    negative, an index is out of range, an edge is duplicated, a
-    self-loop has [snd_bw <> rcv_bw], or an external constraint is
+    negative, NaN or infinite, an index is out of range, an edge is
+    duplicated, a self-loop has [snd_bw <> rcv_bw], or an external constraint is
     violated. *)
 
 val hose : ?name:string -> tier:string -> size:int -> bw:float -> unit -> t

@@ -8,16 +8,38 @@ let tokens line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
-let parse_float what lineno s =
-  match float_of_string_opt s with
-  | Some f when f >= 0. -> Ok f
-  | Some _ -> Error (Printf.sprintf "line %d: negative %s" lineno what)
-  | None -> Error (Printf.sprintf "line %d: bad %s %S" lineno what s)
+type error =
+  | Malformed of { line : int; msg : string }
+  | Negative of { line : int; what : string }
+  | Non_finite of { line : int; what : string; text : string }
+  | Invalid_tag of string
+  | Io of string
 
-let parse_int what lineno s =
+let error_to_string = function
+  | Malformed { line; msg } -> Printf.sprintf "line %d: %s" line msg
+  | Negative { line; what } -> Printf.sprintf "line %d: negative %s" line what
+  | Non_finite { line; what; text } ->
+      Printf.sprintf "line %d: non-finite %s %S" line what text
+  | Invalid_tag msg | Io msg -> msg
+
+let malformed line fmt =
+  Printf.ksprintf (fun msg -> Error (Malformed { line; msg })) fmt
+
+(* [float_of_string] also reads "nan", "inf" and "infinity"; a guarantee
+   must be a finite, non-negative number.  NaN fails [f >= 0.], so the
+   finiteness test comes first. *)
+let parse_float what line s =
+  match float_of_string_opt s with
+  | Some f when not (Float.is_finite f) ->
+      Error (Non_finite { line; what; text = s })
+  | Some f when f >= 0. -> Ok f
+  | Some _ -> Error (Negative { line; what })
+  | None -> malformed line "bad %s %S" what s
+
+let parse_int what line s =
   match int_of_string_opt s with
   | Some i -> Ok i
-  | None -> Error (Printf.sprintf "line %d: bad %s %S" lineno what s)
+  | None -> malformed line "bad %s %S" what s
 
 let ( let* ) = Result.bind
 
@@ -43,8 +65,7 @@ let of_string text =
         in
         match find_ext 0 (List.rev !externals) with
         | Some i -> Ok (List.length comps + i)
-        | None ->
-            Error (Printf.sprintf "line %d: unknown component %S" lineno who)
+        | None -> malformed lineno "unknown component %S" who
       end
   in
   let parse_line lineno line =
@@ -90,9 +111,7 @@ let of_string text =
         edges := (i, i, sr, sr) :: !edges;
         Ok ()
     | directive :: _ ->
-        Error
-          (Printf.sprintf "line %d: unrecognized or malformed %S" lineno
-             directive)
+        malformed lineno "unrecognized or malformed %S" directive
   in
   let lines = String.split_on_char '\n' text in
   let rec go lineno = function
@@ -109,7 +128,7 @@ let of_string text =
          ~vm_slots:(List.rev !slot_costs)
          ~components:(List.rev !components)
          ~edges:(List.rev !edges) ())
-  with Invalid_argument msg -> Error msg
+  with Invalid_argument msg -> Error (Invalid_tag msg)
 
 let to_text t =
   let buf = Buffer.create 256 in
@@ -144,4 +163,4 @@ let to_text t =
 let of_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg -> Error (Io msg)

@@ -23,12 +23,29 @@
     blank lines are ignored.  Components must be declared before the
     edges that use them. *)
 
-val of_string : string -> (Tag.t, string) result
-(** Parse; the error message includes the offending line number. *)
+type error =
+  | Malformed of { line : int; msg : string }
+      (** Unknown directive or component, or a number that does not
+          parse. *)
+  | Negative of { line : int; what : string }
+      (** A bandwidth below zero. *)
+  | Non_finite of { line : int; what : string; text : string }
+      (** A bandwidth that reads as NaN or an infinity ([text] is the
+          token as written). *)
+  | Invalid_tag of string
+      (** The lines parse but {!Tag.create} rejects the TAG they
+          describe (non-positive size, duplicate edge...). *)
+  | Io of string  (** {!of_file} could not read the file. *)
+
+val error_to_string : error -> string
+(** One-line message; names the offending line where there is one. *)
+
+val of_string : string -> (Tag.t, error) result
+(** Parse; errors carry the offending line number. *)
 
 val to_text : Tag.t -> string
 (** Render a TAG in the same format; [of_string (to_text t)] succeeds
     and yields an equal TAG. *)
 
-val of_file : string -> (Tag.t, string) result
+val of_file : string -> (Tag.t, error) result
 (** Read and parse a file. *)

@@ -105,17 +105,18 @@ let return_slots t ~server n =
     true
   end
 
+let fits_bw t ~node ~up ~down =
+  (up <= 0. || Tree.fits_up t.the_tree ~node up)
+  && (down <= 0. || Tree.fits_down t.the_tree ~node down)
+
 let reserve_bw t ~node ~up ~down =
   if up = 0. && down = 0. then true
-  else
-    let ok_up = up <= 0. || Tree.fits_up t.the_tree ~node up in
-    let ok_down = down <= 0. || Tree.fits_down t.the_tree ~node down in
-    if ok_up && ok_down then begin
-      Tree.unchecked_add_bw t.the_tree ~node ~up ~down;
-      record_bw t ~node ~up ~down;
-      true
-    end
-    else false
+  else if fits_bw t ~node ~up ~down then begin
+    Tree.unchecked_add_bw t.the_tree ~node ~up ~down;
+    record_bw t ~node ~up ~down;
+    true
+  end
+  else false
 
 let undo_op the_tree ~kind ~node ~n ~up ~down =
   if kind = 0 then

@@ -39,6 +39,11 @@ val reserve_bw : t -> node:int -> up:float -> down:float -> bool
     capacity in its direction.  The two directions are checked and applied
     atomically. *)
 
+val fits_bw : t -> node:int -> up:float -> down:float -> bool
+(** Whether {!reserve_bw} with the same deltas would succeed: each
+    positive delta fits its direction's remaining capacity.  Reads the
+    tree only. *)
+
 val checkpoint : t -> checkpoint
 val rollback_to : t -> checkpoint -> unit
 (** Undo every operation recorded after the checkpoint. *)

@@ -121,6 +121,146 @@ let test_state_server_locations () =
   Alcotest.(check (list (pair int int))) "comp2" [ (s1, 1) ] locations.(2);
   Alcotest.(check (list (pair int int))) "comp1 empty" [] locations.(1)
 
+(* {2 The server-fit probe}
+
+   [Alloc_state.max_fit] replaced a back-off that placed [k] VMs,
+   synced the server uplink and rolled back on failure, from [cap] down.
+   That back-off is kept here as the specification: on random states
+   over partly filled trees the probe must return the same [k] for
+   every server and component, and must leave the journal, the
+   reservation ledger, free slots, reserved bandwidth and the
+   availability index exactly as it found them. *)
+
+let backoff_spec st ~server ~comp ~cap =
+  let rec try_k k =
+    if k <= 0 then 0
+    else begin
+      let cp = Alloc_state.checkpoint st in
+      let ok =
+        Alloc_state.place st ~server ~comp ~n:k
+        && Alloc_state.sync_bw st ~node:server
+      in
+      Alloc_state.rollback_to st cp;
+      if ok then k else try_k (k - 1)
+    end
+  in
+  try_k cap
+
+let random_tag rng =
+  let n = 1 + Random.State.int rng 4 in
+  let n_ext = Random.State.int rng 2 in
+  let bw () =
+    if Random.State.int rng 4 = 0 then 0. else Random.State.float rng 300.
+  in
+  let edges = ref [] in
+  for i = 0 to n + n_ext - 1 do
+    for j = 0 to n + n_ext - 1 do
+      if (i < n || j < n) && Random.State.bool rng then
+        if i = j then
+          let sr = bw () in
+          edges := (i, i, sr, sr) :: !edges
+        else
+          let snd = bw () in
+          let rcv = bw () in
+          edges := (i, j, snd, rcv) :: !edges
+    done
+  done;
+  Tag.create
+    ~externals:(List.init n_ext (Printf.sprintf "x%d"))
+    ~vm_slots:(List.init n (fun _ -> 1 + Random.State.int rng 2))
+    ~components:
+      (List.init n (fun i ->
+           (Printf.sprintf "c%d" i, 1 + Random.State.int rng 10)))
+    ~edges:(List.rev !edges) ()
+
+(* Everything a probe must not touch, bit for bit.  A checkpoint is the
+   (journal length, ledger fill) pair, so equal checkpoints mean nothing
+   was journaled or reserved. *)
+let probe_snapshot tree st =
+  ( Alloc_state.checkpoint st,
+    Array.map (Tree.free_slots tree) (Tree.servers tree),
+    Array.init (Tree.n_nodes tree) (fun n ->
+        ( Int64.bits_of_float (Tree.reserved_up tree n),
+          Int64.bits_of_float (Tree.reserved_down tree n) )) )
+
+let test_state_max_fit_matches_backoff () =
+  let probes = ref 0 and bw_bound = ref 0 in
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed |] in
+    let tree =
+      Tree.create
+        {
+          Tree.degrees = [ 2; 4; 4 ];
+          slots_per_server = 8;
+          server_up_mbps = 1000.;
+          oversub = [ 2.; 2. ];
+        }
+    in
+    (* Other tenants' committed reservations. *)
+    let cm = Cm_sim.Driver.cm tree and ovoc = Cm_sim.Driver.oktopus tree in
+    for i = 1 to 6 do
+      let sched = if i mod 2 = 0 then cm else ovoc in
+      ignore (sched.Cm_sim.Driver.place (Types.request (random_tag rng)))
+    done;
+    let tag = random_tag rng in
+    let model =
+      if Random.State.bool rng then Bandwidth.Voc_model else Bandwidth.Tag_model
+    in
+    let ha =
+      if Random.State.int rng 3 = 0 then
+        Some { Types.rwcs = 0.5; laa_level = Random.State.int rng 2 }
+      else None
+    in
+    let st = Alloc_state.create ~model ?ha tree tag in
+    let servers = Tree.servers tree in
+    let unplaced comp =
+      Tag.size tag comp - Alloc_state.count st ~node:(Tree.root tree) ~comp
+    in
+    (* This tenant's own partial placement, with its server uplinks
+       already reserved. *)
+    for _ = 1 to 8 do
+      let server = servers.(Random.State.int rng (Array.length servers)) in
+      let comp = Random.State.int rng (Tag.n_components tag) in
+      let n = min (1 + Random.State.int rng 3) (unplaced comp) in
+      let cp = Alloc_state.checkpoint st in
+      if
+        not
+          (Alloc_state.place st ~server ~comp ~n
+          && Alloc_state.sync_bw st ~node:server)
+      then Alloc_state.rollback_to st cp
+    done;
+    Array.iter
+      (fun server ->
+        for comp = 0 to Tag.n_components tag - 1 do
+          let cost = Tag.vm_slots tag comp in
+          let cap =
+            min
+              (min (unplaced comp) (Tree.free_slots tree server / cost))
+              (Alloc_state.ha_cap st ~node:server ~comp)
+          in
+          let before = probe_snapshot tree st in
+          let k = Alloc_state.max_fit st ~server ~comp ~cap in
+          if probe_snapshot tree st <> before then
+            Alcotest.failf "seed %d: probe on server %d wrote state" seed
+              server;
+          Alcotest.(check bool) "index intact" true (Tree.index_verify tree);
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d server %d comp %d cap %d" seed server comp
+               cap)
+            (backoff_spec st ~server ~comp ~cap)
+            k;
+          incr probes;
+          if k < cap then incr bw_bound
+        done)
+      servers
+  done;
+  (* The uplink must have been the binding limit often enough for the
+     comparison to mean something. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d probes bandwidth-bound" !bw_bound !probes)
+    true
+    (!bw_bound * 10 >= !probes)
+
 (* {1 Subtree helpers} *)
 
 let test_subtree_all_under () =
@@ -522,6 +662,8 @@ let () =
             test_state_rollback_checkpoint;
           Alcotest.test_case "ha cap" `Quick test_state_ha_cap;
           Alcotest.test_case "server locations" `Quick test_state_server_locations;
+          Alcotest.test_case "max_fit = back-off spec" `Quick
+            test_state_max_fit_matches_backoff;
         ] );
       ( "subtree",
         [

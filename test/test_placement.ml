@@ -538,12 +538,14 @@ let test_hetero_vm_slots_validation () =
 let test_hetero_format_roundtrip () =
   let text = "tag h\ncomponent big 2 4\ncomponent small 3\nedge big small 5 5\n" in
   match Cm_tag.Tag_format.of_string text with
-  | Error m -> Alcotest.failf "parse: %s" m
+  | Error e ->
+      Alcotest.failf "parse: %s" (Cm_tag.Tag_format.error_to_string e)
   | Ok t ->
       Alcotest.(check int) "big slots" 4 (Tag.vm_slots t 0);
       Alcotest.(check int) "small slots" 1 (Tag.vm_slots t 1);
       (match Cm_tag.Tag_format.of_string (Cm_tag.Tag_format.to_text t) with
-      | Error m -> Alcotest.failf "reparse: %s" m
+      | Error e ->
+          Alcotest.failf "reparse: %s" (Cm_tag.Tag_format.error_to_string e)
       | Ok t2 -> Alcotest.(check int) "slots survive" 4 (Tag.vm_slots t2 0))
 
 let test_hetero_all_schedulers () =

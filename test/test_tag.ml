@@ -44,6 +44,25 @@ let test_create_negative_bw () =
       ignore
         (Tag.create ~components:[ ("a", 1) ] ~edges:[ (0, 0, -1., -1.) ] ()))
 
+(* NaN slips past a [< 0.] test and infinity prices [0 * inf] as NaN,
+   so both are refused by name. *)
+let test_create_non_finite_bw () =
+  List.iter
+    (fun edge ->
+      let components = [ ("a", 2); ("b", 2) ] in
+      match Tag.create ~components ~edges:[ edge ] () with
+      | _ -> Alcotest.fail "non-finite guarantee accepted"
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "own message" "Tag.create: edge (0,1) has a non-finite bandwidth"
+            msg)
+    [
+      (0, 1, Float.nan, 1.);
+      (0, 1, 1., Float.nan);
+      (0, 1, Float.infinity, 1.);
+      (0, 1, 1., Float.neg_infinity);
+    ]
+
 let test_create_asymmetric_self_loop () =
   expect_invalid (fun () ->
       ignore
@@ -516,7 +535,7 @@ let sample_text =
 
 let test_format_parse () =
   match Tag_format.of_string sample_text with
-  | Error m -> Alcotest.failf "parse failed: %s" m
+  | Error e -> Alcotest.failf "parse failed: %s" (Tag_format.error_to_string e)
   | Ok t ->
       Alcotest.(check string) "name" "shop" (Tag.name t);
       Alcotest.(check int) "components" 3 (Tag.n_components t);
@@ -530,14 +549,16 @@ let test_format_parse () =
 let test_format_roundtrip () =
   let original = Option.get (Result.to_option (Tag_format.of_string sample_text)) in
   match Tag_format.of_string (Tag_format.to_text original) with
-  | Error m -> Alcotest.failf "re-parse failed: %s" m
+  | Error e ->
+      Alcotest.failf "re-parse failed: %s" (Tag_format.error_to_string e)
   | Ok reparsed -> Alcotest.(check bool) "equal" true (Tag.equal original reparsed)
 
 let test_format_errors () =
   let expect_err text frag =
     match Tag_format.of_string text with
     | Ok _ -> Alcotest.failf "expected error mentioning %S" frag
-    | Error m ->
+    | Error e ->
+        let m = Tag_format.error_to_string e in
         Alcotest.(check bool)
           (Printf.sprintf "%S in %S" frag m)
           true
@@ -551,6 +572,28 @@ let test_format_errors () =
   expect_err "component web 4\nedge web web -3 1\n" "line 2";
   expect_err "component web 0\n" "size"
 
+(* [float_of_string] reads "nan" and "inf"; the parser names them as
+   non-finite instead of calling NaN negative or accepting infinity. *)
+let test_format_non_finite () =
+  List.iter
+    (fun (text, line) ->
+      match Tag_format.of_string text with
+      | Error (Tag_format.Non_finite { line = l; _ }) ->
+          Alcotest.(check int) text line l
+      | Error e ->
+          Alcotest.failf "%S: expected Non_finite, got %s" text
+            (Tag_format.error_to_string e)
+      | Ok _ -> Alcotest.failf "%S: accepted" text)
+    [
+      ("component a 2\ncomponent b 2\nedge a b nan 1\n", 3);
+      ("component a 2\ncomponent b 2\nedge a b 1 inf\n", 3);
+      ("component a 2\nselfloop a infinity\n", 2);
+      ("component a 2\ncomponent b 2\nduplex a b 1 -inf\n", 3);
+    ];
+  match Tag_format.of_string "component a 2\nselfloop a -1\n" with
+  | Error (Tag_format.Negative { line = 2; _ }) -> ()
+  | _ -> Alcotest.fail "expected Negative at line 2"
+
 let test_format_duplex () =
   (* Footnote 6: one undirected edge expands to the two directed edges
      with symmetric values. *)
@@ -558,7 +601,7 @@ let test_format_duplex () =
     "component a 2\ncomponent b 4\nduplex a b 100 50\n"
   in
   match Tag_format.of_string text with
-  | Error m -> Alcotest.failf "parse: %s" m
+  | Error e -> Alcotest.failf "parse: %s" (Tag_format.error_to_string e)
   | Ok t ->
       Alcotest.(check int) "two edges" 2 (Array.length (Tag.edges t));
       let fwd = Option.get (Tag.find_edge t ~src:0 ~dst:1) in
@@ -572,7 +615,8 @@ let test_format_examples_roundtrip () =
   List.iter
     (fun tag ->
       match Tag_format.of_string (Tag_format.to_text tag) with
-      | Error m -> Alcotest.failf "%s: %s" (Tag.name tag) m
+      | Error e ->
+          Alcotest.failf "%s: %s" (Tag.name tag) (Tag_format.error_to_string e)
       | Ok reparsed ->
           Alcotest.(check int)
             (Tag.name tag ^ " components")
@@ -661,6 +705,131 @@ let prop_complement_symmetry =
         (Bandwidth.tag_out t ~inside -. Bandwidth.tag_in t ~inside:complement)
       < 1e-6)
 
+(* {1 The pricing kernel}
+
+   [Bandwidth.required] fuses each model's two directions into one pass;
+   the per-direction formulas stay as the specification.  Parity is
+   bitwise, not within a tolerance: placement decisions compare these
+   prices against link headroom, so a one-ulp drift could flip one. *)
+
+let pricing_tag_gen =
+  let open QCheck.Gen in
+  let* n_comp = int_range 1 4 in
+  let* n_ext = int_range 0 2 in
+  let* sizes = list_repeat n_comp (int_range 1 4) in
+  let components = List.mapi (fun i s -> (Printf.sprintf "c%d" i, s)) sizes in
+  let externals = List.init n_ext (Printf.sprintf "x%d") in
+  let n_total = n_comp + n_ext in
+  let bw =
+    frequency
+      [
+        (1, return 0.);
+        (1, map float_of_int (int_range 1 500));
+        (3, float_range 0. 1000.);
+      ]
+  in
+  let pick_edge (i, j) =
+    let* keep = bool in
+    if (not keep) || (i >= n_comp && j >= n_comp) then return None
+    else
+      let* s = bw in
+      if i = j then return (Some (i, j, s, s))
+      else
+        let* r = bw in
+        return (Some (i, j, s, r))
+  in
+  let pairs =
+    List.concat_map
+      (fun i -> List.init n_total (fun j -> (i, j)))
+      (List.init n_total Fun.id)
+  in
+  let* opts = flatten_l (List.map pick_edge pairs) in
+  return
+    (Tag.create ~externals ~components ~edges:(List.filter_map Fun.id opts) ())
+
+(* Every inside vector of [tag]: [f] sees one shared array, advanced
+   like an odometer through [0..size c] per component. *)
+let iter_inside tag f =
+  let n = Tag.n_components tag in
+  let inside = Array.make n 0 in
+  let rec next c =
+    if c < n then
+      if inside.(c) < Tag.size tag c then inside.(c) <- inside.(c) + 1
+      else begin
+        inside.(c) <- 0;
+        next (c + 1)
+      end
+  in
+  let total =
+    Array.fold_left ( * ) 1 (Array.init n (fun c -> Tag.size tag c + 1))
+  in
+  for _ = 1 to total do
+    f inside;
+    next 0
+  done
+
+let same_bits (a, b) (c, d) =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float c)
+  && Int64.equal (Int64.bits_of_float b) (Int64.bits_of_float d)
+
+let prop_required_bitwise =
+  QCheck.Test.make ~name:"required = per-direction formulas, bitwise"
+    ~count:300
+    (QCheck.make ~print:Tag.to_string pricing_tag_gen)
+    (fun t ->
+      let ok = ref true in
+      iter_inside t (fun inside ->
+          let tag = Bandwidth.required Bandwidth.Tag_model t ~inside
+          and voc = Bandwidth.required Bandwidth.Voc_model t ~inside in
+          if
+            not
+              (same_bits tag
+                 (Bandwidth.tag_out t ~inside, Bandwidth.tag_in t ~inside)
+              && same_bits voc
+                   (Bandwidth.voc_out t ~inside, Bandwidth.voc_in t ~inside))
+          then ok := false);
+      !ok)
+
+(* The kernel's only allocations are the returned pair (a 3-word block
+   holding two 2-word boxed floats) and, for VOC, one flat float array
+   of two entries per component.  A closure, a list fold or a boxed
+   float coming back would cost tens of words per call. *)
+let test_required_allocation () =
+  let t =
+    Tag.create ~externals:[ "internet" ]
+      ~components:[ ("web", 6); ("logic", 4); ("db", 3) ]
+      ~edges:
+        [
+          (0, 1, 300., 200.);
+          (1, 0, 200., 300.);
+          (1, 2, 150., 100.);
+          (2, 2, 50., 50.);
+          (0, 3, 25., 0.);
+          (3, 0, 0., 40.);
+        ]
+      ()
+  in
+  let inside = [| 2; 3; 1 |] in
+  let words_per_call model =
+    let calls = 10_000 in
+    ignore (Bandwidth.required model t ~inside);
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Bandwidth.required model t ~inside))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let pair = 7. and per_vm = float_of_int ((2 * Tag.n_components t) + 1) in
+  let check model bound =
+    let w = words_per_call model in
+    (* Half a word of slack for the counter reads themselves. *)
+    if w > bound +. 0.5 then
+      Alcotest.failf "%s: %.1f minor words per call, bound %.0f"
+        (Bandwidth.model_name model) w bound
+  in
+  check Bandwidth.Tag_model pair;
+  check Bandwidth.Voc_model (pair +. per_vm)
+
 let () =
   Alcotest.run "cm_tag"
     [
@@ -676,6 +845,8 @@ let () =
           Alcotest.test_case "duplicate edge rejected" `Quick
             test_create_duplicate_edge;
           Alcotest.test_case "hose special case" `Quick test_hose_special_case;
+          Alcotest.test_case "non-finite bw rejected" `Quick
+            test_create_non_finite_bw;
         ] );
       ( "derived",
         [
@@ -757,6 +928,13 @@ let () =
           Alcotest.test_case "duplex sugar" `Quick test_format_duplex;
           Alcotest.test_case "examples round trip" `Quick
             test_format_examples_roundtrip;
+          Alcotest.test_case "non-finite bandwidth" `Quick
+            test_format_non_finite;
+        ] );
+      ( "pricing-kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_required_bitwise;
+          Alcotest.test_case "allocation bound" `Quick test_required_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
