@@ -382,6 +382,9 @@ let g_es_speedup_top = Metrics.gauge "bench.enforce_scale.speedup_top"
 let g_es_oracle_match = Metrics.gauge "bench.enforce_scale.oracle_match"
 let g_es_jobs_invariant = Metrics.gauge "bench.enforce_scale.jobs_invariant"
 
+let g_es_words_per_flow =
+  Metrics.gauge "bench.enforce_scale.minor_words_per_resolved_flow"
+
 let enforce_scale_bench () =
   let module Maxmin = Cm_enforce.Maxmin in
   let p = !params in
@@ -417,6 +420,9 @@ let enforce_scale_bench () =
   in
   let oracle_match = ref true and jobs_invariant = ref true in
   let speedup_top = ref 0. and flows_max = ref 0 in
+  (* Allocation of the 1-domain churn solves (minor-heap words are
+     counted per domain, so the sharded solve is not measured). *)
+  let solve_words = ref 0. and solve_resolved = ref 0 in
   List.iter
     (fun n_flows ->
       let n_pods = n_flows / flows_per_pod in
@@ -494,7 +500,11 @@ let enforce_scale_bench () =
           time (fun () ->
               Maxmin.Inc.solve ~domains:(Par.default_domains ()) inc)
         in
+        let w0 = Gc.minor_words () in
         Maxmin.Inc.solve ~domains:1 inc1;
+        solve_words := !solve_words +. (Gc.minor_words () -. w0);
+        solve_resolved :=
+          !solve_resolved + (Maxmin.Inc.last_stats inc1).Maxmin.Inc.flows_resolved;
         let stats = Maxmin.Inc.last_stats inc in
         resolved_frac :=
           !resolved_frac
@@ -559,6 +569,8 @@ let enforce_scale_bench () =
   Metrics.set g_es_speedup_top !speedup_top;
   Metrics.set g_es_oracle_match (if !oracle_match then 1. else 0.);
   Metrics.set g_es_jobs_invariant (if !jobs_invariant then 1. else 0.);
+  Metrics.set g_es_words_per_flow
+    (!solve_words /. float_of_int (max 1 !solve_resolved));
   Table.print t;
   if not !oracle_match then
     failwith "enforce-scale: incremental solver diverged from the oracle";

@@ -79,6 +79,14 @@ module Inc = struct
     dirty : bool array;
     dirty_links : Vec.t;
     pathless_dirty : Vec.t;
+    (* Component collection: a link or slot is seen in the current solve
+       when its stamp equals [gen]; [link_local.(l)] is link [l]'s dense
+       index inside its component, written by [collect_components] and
+       only read by the (possibly parallel) component solves. *)
+    mutable gen : int;
+    link_stamp : int array;
+    mutable slot_stamp : int array;
+    link_local : int array;
     mutable stats : stats;
   }
 
@@ -113,6 +121,10 @@ module Inc = struct
       dirty = Array.make n false;
       dirty_links = Vec.create ();
       pathless_dirty = Vec.create ();
+      gen = 0;
+      link_stamp = Array.make n 0;
+      slot_stamp = [||];
+      link_local = Array.make n 0;
       stats = no_stats;
     }
 
@@ -135,6 +147,7 @@ module Inc = struct
     t.rate <- extend t.rate 0.;
     t.path_off <- extend t.path_off 0;
     t.path_len <- extend t.path_len 0;
+    t.slot_stamp <- extend t.slot_stamp 0;
     t.slot_cap <- cap
 
   (* Reclaim leaked path segments: rewrite every live slot's segment
@@ -289,148 +302,251 @@ module Inc = struct
 
   (* {2 Component solve}
 
-     Progressive filling restricted to one component, replaying the
-     reference algorithm's float operations: phase 1 hands out
+     Event-driven water-filling restricted to one component.  It
+     performs exactly the float operations of round-based progressive
+     filling, so every rate is bit-identical to it: phase 1 hands out
      guarantees (capped by demand) in ascending external-flow-id order;
      phase 2 raises all unfrozen flows together, freezing on demand
-     satisfaction or link saturation, subtracting each round's
-     increment once per active flow per link.  All state is local to
-     the call, so components solve in parallel without sharing. *)
+     satisfaction or link saturation, subtracting each round's increment
+     once per active flow per link.  Three facts remove the per-round
+     rescans of every flow and link:
+
+     - every active flow holds the same grant (all of them received the
+       same [+. inc] sequence from 0), so one scalar [level] stands for
+       it;
+     - rounding is monotone, so [fl (r_min -. level)] is the minimum of
+       [fl (r_i -. level)] over active flows: the demand limit is read
+       off a residual-sorted order, and demand freezes are a prefix of
+       it;
+     - a flow can only saturate on a link it is active on, so the
+       saturation check visits the links with [n_active > 0] and
+       reaches their flows through a local link->flow CSR.
+
+     Each link still takes its [n_active] repeated [-. inc]
+     subtractions, in a tight loop per link.  All state is local to the
+     call, so components solve in parallel without sharing. *)
 
   type component = { slots : int array; links : int array }
 
-  exception Infeasible
+  exception Infeasible of int  (* external id of the overflowing link *)
 
   let solve_component t (c : component) =
     let nl = Array.length c.links in
     let nf = Array.length c.slots in
-    let local = Hashtbl.create (2 * nl) in
-    Array.iteri (fun i l -> Hashtbl.replace local l i) c.links;
-    let remaining = Array.map (fun l -> t.caps.(l)) c.links in
+    (* Local CSR both ways: flow i's path is [f_link.(f_off.(i) ..
+       f_off.(i + 1) - 1)] (dense within the component, path order),
+       link l's flows are [l_flow.(l_off.(l) .. l_off.(l + 1) - 1)]. *)
+    let f_off = Array.make (nf + 1) 0 in
+    for i = 0 to nf - 1 do
+      f_off.(i + 1) <- f_off.(i) + t.path_len.(c.slots.(i))
+    done;
+    let f_link = Array.make f_off.(nf) 0 in
+    let l_off = Array.make (nl + 1) 0 in
+    for i = 0 to nf - 1 do
+      let off = t.path_off.(c.slots.(i)) in
+      for p = f_off.(i) to f_off.(i + 1) - 1 do
+        let l = t.link_local.(Vec.get t.path_buf (off + p - f_off.(i))) in
+        f_link.(p) <- l;
+        l_off.(l + 1) <- l_off.(l + 1) + 1
+      done
+    done;
+    for l = 0 to nl - 1 do
+      l_off.(l + 1) <- l_off.(l + 1) + l_off.(l)
+    done;
+    let l_flow = Array.make f_off.(nf) 0 in
     let n_active = Array.make nl 0 in
-    let base = Array.make nf 0. in
-    let granted = Array.make nf 0. in
-    let active = Array.make nf false in
-    (* Local (dense within the component) copies of each flow's path. *)
-    let paths =
-      Array.map
-        (fun s ->
-          let off = t.path_off.(s) in
-          Array.init t.path_len.(s) (fun k ->
-              Hashtbl.find local (Vec.get t.path_buf (off + k))))
-        c.slots
-    in
+    for i = 0 to nf - 1 do
+      for p = f_off.(i) to f_off.(i + 1) - 1 do
+        let l = f_link.(p) in
+        l_flow.(l_off.(l) + n_active.(l)) <- i;
+        n_active.(l) <- n_active.(l) + 1
+      done
+    done;
+    Array.fill n_active 0 nl 0;
+    let remaining = Array.make nl 0. in
+    for l = 0 to nl - 1 do
+      remaining.(l) <- t.caps.(c.links.(l))
+    done;
     (* Phase 1: guarantees, in canonical (ascending flow id) order. *)
-    Array.iteri
-      (fun i s ->
-        let g = Float.min t.guarantee.(s) t.demand.(s) in
-        base.(i) <- g;
-        Array.iter
-          (fun l ->
-            let r = remaining.(l) -. g in
-            if r < -.eps then raise Infeasible;
-            remaining.(l) <- Float.max 0. r)
-          paths.(i))
-      c.slots;
-    (* Phase 2: progressive filling of the residual demand. *)
+    let base = Array.make nf 0. in
+    for i = 0 to nf - 1 do
+      let s = c.slots.(i) in
+      let g = Float.min t.guarantee.(s) t.demand.(s) in
+      base.(i) <- g;
+      for p = f_off.(i) to f_off.(i + 1) - 1 do
+        let l = f_link.(p) in
+        let r = remaining.(l) -. g in
+        if r < -.eps then raise (Infeasible t.link_ids.(c.links.(l)));
+        remaining.(l) <- Float.max 0. r
+      done
+    done;
+    (* Phase 2: water-fill the residual demand.  [order] holds the
+       active flows by ascending residual; [alinks.(0 .. n_al - 1)] the
+       links with [n_active > 0]. *)
+    let residual = Array.make nf 0. in
+    let active = Array.make nf false in
     let n_left = ref 0 in
-    Array.iteri
-      (fun i s ->
-        if Float.max 0. (t.demand.(s) -. base.(i)) > eps then begin
-          active.(i) <- true;
-          incr n_left;
-          Array.iter (fun l -> n_active.(l) <- n_active.(l) + 1) paths.(i)
-        end)
-      c.slots;
+    for i = 0 to nf - 1 do
+      let r = Float.max 0. (t.demand.(c.slots.(i)) -. base.(i)) in
+      if r > eps then begin
+        residual.(i) <- r;
+        active.(i) <- true;
+        incr n_left;
+        for p = f_off.(i) to f_off.(i + 1) - 1 do
+          let l = f_link.(p) in
+          n_active.(l) <- n_active.(l) + 1
+        done
+      end
+    done;
+    let n_order = !n_left in
+    let order = Array.make n_order 0 in
+    let k = ref 0 in
+    for i = 0 to nf - 1 do
+      if active.(i) then begin
+        order.(!k) <- i;
+        incr k
+      end
+    done;
+    Array.sort (fun a b -> Float.compare residual.(a) residual.(b)) order;
+    let alinks = Array.make nl 0 in
+    let n_al = ref 0 in
+    for l = 0 to nl - 1 do
+      if n_active.(l) > 0 then begin
+        alinks.(!n_al) <- l;
+        incr n_al
+      end
+    done;
+    let granted = Array.make nf 0. in
+    let frozen = Array.make n_order 0 in
+    let level = ref 0. in
+    let head = ref 0 in
     let continue_ = ref (!n_left > 0) in
     while !continue_ do
       let link_limit = ref infinity in
-      for l = 0 to nl - 1 do
-        if n_active.(l) > 0 then
-          link_limit :=
-            Float.min !link_limit (remaining.(l) /. float_of_int n_active.(l))
+      for j = 0 to !n_al - 1 do
+        let l = alinks.(j) in
+        link_limit :=
+          Float.min !link_limit (remaining.(l) /. float_of_int n_active.(l))
       done;
-      let demand_limit = ref infinity in
-      for i = 0 to nf - 1 do
-        if active.(i) then
-          let residual = Float.max 0. (t.demand.(c.slots.(i)) -. base.(i)) in
-          demand_limit := Float.min !demand_limit (residual -. granted.(i))
+      while not active.(order.(!head)) do
+        incr head
       done;
-      let inc = Float.min !link_limit !demand_limit in
+      let demand_limit = residual.(order.(!head)) -. !level in
+      let inc = Float.min !link_limit demand_limit in
       if inc = infinity then continue_ := false
       else begin
         let inc = Float.max inc 0. in
-        for i = 0 to nf - 1 do
+        level := !level +. inc;
+        for j = 0 to !n_al - 1 do
+          let l = alinks.(j) in
+          let r = ref remaining.(l) in
+          for _ = 1 to n_active.(l) do
+            r := !r -. inc
+          done;
+          remaining.(l) <- !r
+        done;
+        (* Demand freezes: a prefix of the active flows in [order]. *)
+        let n_frozen = ref 0 in
+        let p = ref !head in
+        while
+          !p < n_order
+          && ((not active.(order.(!p)))
+             || not (residual.(order.(!p)) -. !level > eps))
+        do
+          let i = order.(!p) in
           if active.(i) then begin
-            granted.(i) <- granted.(i) +. inc;
-            Array.iter (fun l -> remaining.(l) <- remaining.(l) -. inc) paths.(i)
+            active.(i) <- false;
+            frozen.(!n_frozen) <- i;
+            incr n_frozen
+          end;
+          incr p
+        done;
+        (* Saturation freezes: every active flow on a saturated link. *)
+        for j = 0 to !n_al - 1 do
+          let l = alinks.(j) in
+          if remaining.(l) <= eps then
+            for q = l_off.(l) to l_off.(l + 1) - 1 do
+              let i = l_flow.(q) in
+              if active.(i) then begin
+                active.(i) <- false;
+                frozen.(!n_frozen) <- i;
+                incr n_frozen
+              end
+            done
+        done;
+        for j = 0 to !n_frozen - 1 do
+          let i = frozen.(j) in
+          granted.(i) <- !level;
+          for p = f_off.(i) to f_off.(i + 1) - 1 do
+            let l = f_link.(p) in
+            n_active.(l) <- n_active.(l) - 1
+          done
+        done;
+        n_left := !n_left - !n_frozen;
+        let w = ref 0 in
+        for j = 0 to !n_al - 1 do
+          let l = alinks.(j) in
+          if n_active.(l) > 0 then begin
+            alinks.(!w) <- l;
+            incr w
           end
         done;
-        let frozen = ref 0 in
-        for i = 0 to nf - 1 do
-          if active.(i) then begin
-            let residual = Float.max 0. (t.demand.(c.slots.(i)) -. base.(i)) in
-            let keep =
-              residual -. granted.(i) > eps
-              && not (Array.exists (fun l -> remaining.(l) <= eps) paths.(i))
-            in
-            if not keep then begin
-              active.(i) <- false;
-              Array.iter (fun l -> n_active.(l) <- n_active.(l) - 1) paths.(i);
-              incr frozen;
-              decr n_left
-            end
-          end
-        done;
-        if !n_left = 0 || (!frozen = 0 && inc <= eps) then continue_ := false
+        n_al := !w;
+        if !n_left = 0 || (!n_frozen = 0 && inc <= eps) then continue_ := false
       end
     done;
-    Array.mapi (fun i _ -> base.(i) +. granted.(i)) c.slots
+    for i = 0 to nf - 1 do
+      if active.(i) then granted.(i) <- !level;
+      granted.(i) <- base.(i) +. granted.(i)
+    done;
+    granted
 
   (* Expand the dirty-link frontier to whole components.  Flows and
-     links are collected with generation stamps (no per-solve clearing);
-     slots within a component are sorted by external flow id so the
-     solve order — and therefore every float — is independent of
-     discovery order. *)
+     links are collected with generation stamps (no per-solve clearing),
+     and each link's dense index inside its component is recorded in
+     [link_local] for [solve_component].  Slots within a component are
+     sorted by external flow id so the solve order — and therefore every
+     float — is independent of discovery order. *)
   let collect_components t =
-    let link_seen = Array.make t.n_links false in
-    let slot_seen = Array.make (max 1 t.n_slots) false in
+    t.gen <- t.gen + 1;
+    let gen = t.gen in
     let frontier = Vec.create () in
     let components = ref [] in
-    Vec.iter
-      (fun l0 ->
-        if not link_seen.(l0) then begin
-          link_seen.(l0) <- true;
-          Vec.clear frontier;
-          Vec.push frontier l0;
-          let slots = Vec.create () and links = Vec.create () in
-          Vec.push links l0;
-          while Vec.length frontier > 0 do
-            let l = Vec.pop frontier in
-            Vec.iter
-              (fun s ->
-                if not slot_seen.(s) then begin
-                  slot_seen.(s) <- true;
-                  Vec.push slots s;
-                  let off = t.path_off.(s) in
-                  for k = 0 to t.path_len.(s) - 1 do
-                    let l' = Vec.get t.path_buf (off + k) in
-                    if not link_seen.(l') then begin
-                      link_seen.(l') <- true;
-                      Vec.push links l';
-                      Vec.push frontier l'
-                    end
-                  done
-                end)
-              t.inc_flows.(l)
-          done;
-          let slots = Vec.to_array slots in
-          Array.sort
-            (fun a b -> compare t.ext.(a) t.ext.(b))
-            slots;
-          components := { slots; links = Vec.to_array links } :: !components
-        end)
-      t.dirty_links;
+    for d = 0 to Vec.length t.dirty_links - 1 do
+      let l0 = Vec.get t.dirty_links d in
+      if t.link_stamp.(l0) <> gen then begin
+        t.link_stamp.(l0) <- gen;
+        t.link_local.(l0) <- 0;
+        Vec.clear frontier;
+        Vec.push frontier l0;
+        let slots = Vec.create () and links = Vec.create () in
+        Vec.push links l0;
+        while Vec.length frontier > 0 do
+          let l = Vec.pop frontier in
+          let inc = t.inc_flows.(l) in
+          for j = 0 to Vec.length inc - 1 do
+            let s = Vec.get inc j in
+            if t.slot_stamp.(s) <> gen then begin
+              t.slot_stamp.(s) <- gen;
+              Vec.push slots s;
+              let off = t.path_off.(s) in
+              for k = 0 to t.path_len.(s) - 1 do
+                let l' = Vec.get t.path_buf (off + k) in
+                if t.link_stamp.(l') <> gen then begin
+                  t.link_stamp.(l') <- gen;
+                  t.link_local.(l') <- Vec.length links;
+                  Vec.push links l';
+                  Vec.push frontier l'
+                end
+              done
+            end
+          done
+        done;
+        let slots = Vec.to_array slots in
+        Array.sort (fun a b -> compare t.ext.(a) t.ext.(b)) slots;
+        components := { slots; links = Vec.to_array links } :: !components
+      end
+    done;
     List.rev !components
 
   (* Re-solving a component below this population is cheaper than a
@@ -446,19 +562,26 @@ module Inc = struct
       let work c =
         match solve_component t c with
         | rates -> Ok rates
-        | exception Infeasible -> Error ()
+        | exception Infeasible link -> Error link
       in
       if resolved >= par_threshold && List.length components > 1 then
         Cm_util.Par.map ?domains work components
       else List.map work components
     in
+    (* Check every component before writing any rate: a failed solve
+       leaves rates and the dirty frontier as they were. *)
+    let solved =
+      List.map
+        (function
+          | Ok rates -> rates
+          | Error link ->
+              invalid_arg
+                (Printf.sprintf
+                   "Maxmin.Inc.solve: infeasible guarantees on link %d" link))
+        solved
+    in
     List.iter2
-      (fun c res ->
-        match res with
-        | Error () ->
-            invalid_arg "Maxmin.with_guarantees: infeasible guarantees"
-        | Ok rates ->
-            Array.iteri (fun i s -> t.rate.(s) <- rates.(i)) c.slots)
+      (fun c rates -> Array.iteri (fun i s -> t.rate.(s) <- rates.(i)) c.slots)
       components solved;
     (* Pathless flows: unconstrained, so the rate is the demand when
        finite, else the (demand-capped) guarantee. *)

@@ -9,7 +9,18 @@
     per-link active counters in arrays.  The max-min fixed point
     decomposes over connected components of the flow/link sharing
     graph, which is what {!Inc} exploits to re-converge only the part
-    of the network a churn delta touched. *)
+    of the network a churn delta touched.
+
+    Inside a component the fill is event-driven but performs exactly
+    the float operations of round-based progressive filling (the
+    retired loop is the test-only spec [Cm_oracle.Enforce.filling]):
+    active flows share one grant level, the demand limit is read off a
+    residual-sorted order, and only links with active flows are
+    visited, through a per-component link->flow CSR.  A round costs
+    O(active links + active path cells + freezes) — the cells term is
+    each link's [n_active]-fold repeated subtraction of the round's
+    increment, which bit-identity requires — and a component solve
+    allocates O(flows + links + path cells). *)
 
 type link = { link_id : int; capacity : float }
 
@@ -90,7 +101,10 @@ module Inc : sig
       reusing the previous fixed point elsewhere.  Deterministic and
       independent of [domains].
       @raise Invalid_argument when a dirty component's guarantees are
-      infeasible. *)
+      infeasible, naming [Maxmin.Inc.solve] and the link.  Every
+      component is checked before any rate is written, so a failed
+      solve leaves rates and the dirty frontier as they were: fix the
+      flows and solve again. *)
 
   val rate : t -> int -> float
   (** Allocated rate of a flow as of the last [solve].

@@ -3,9 +3,10 @@ the incremental max-min solver matched the from-scratch oracle bitwise
 on every churn epoch, the solve was jobs-invariant, and the incremental
 path actually beat a cold re-solve -- with the advantage not shrinking
 as the population grows.  Only identities and relative factors are
-asserted -- never absolute wall-clock, which CI machines cannot hold
-steady.  Absolute numbers are bisected offline against the committed
-BENCH_pr9.json baseline."""
+asserted, plus an allocation count per re-converged flow -- never
+absolute wall-clock, which CI machines cannot hold steady.  Absolute
+numbers are bisected offline against the committed BENCH_pr9.json
+baseline."""
 
 import os
 import sys
@@ -63,6 +64,13 @@ def check(doc):
         g[f"bench.enforce_scale.speedup.{flows_max}"],
         best,
     )
+
+    # Allocation of a 1-domain churn solve, per re-converged flow: a
+    # count, not a time.  The event-driven fill allocates only O(flows
+    # + links + path cells) per component (~26 words here); a fill that
+    # allocates per (round, active flow) reads ~214.
+    words = g.get("bench.enforce_scale.minor_words_per_resolved_flow")
+    assert words is not None and 0.0 < words <= 64.0, words
 
     assert "section.enforce_scale" in doc["spans"]
 

@@ -151,3 +151,176 @@ let check_report ?config ~tag ~enforcement ~links ~epochs
       [] epochs report.epochs
   in
   check_rates ~what:"final rates" report.rates last
+
+(* The progressive-filling loop [Maxmin.Inc] ran per sharing component
+   before the event-driven rewrite, kept verbatim below
+   ([filling_component]) as the specification every rate must match
+   bit for bit.  The code around it rebuilds what the solver's tables
+   supplied: components of the flow/link sharing graph, each solved over
+   its flows in ascending flow-id order. *)
+
+exception Infeasible
+
+let eps = 1e-9
+
+let filling_component ~caps (flows : Maxmin.flow array) (links : int array) =
+  let nl = Array.length links in
+  let nf = Array.length flows in
+  let local = Hashtbl.create (2 * nl) in
+  Array.iteri (fun i l -> Hashtbl.replace local l i) links;
+  let remaining = Array.map caps links in
+  let n_active = Array.make nl 0 in
+  let base = Array.make nf 0. in
+  let granted = Array.make nf 0. in
+  let active = Array.make nf false in
+  let paths =
+    Array.map
+      (fun (f : Maxmin.flow) ->
+        Array.of_list (List.map (Hashtbl.find local) f.path))
+      flows
+  in
+  (* Phase 1: guarantees, in canonical (ascending flow id) order. *)
+  Array.iteri
+    (fun i (f : Maxmin.flow) ->
+      let g = Float.min f.guarantee f.demand in
+      base.(i) <- g;
+      Array.iter
+        (fun l ->
+          let r = remaining.(l) -. g in
+          if r < -.eps then raise Infeasible;
+          remaining.(l) <- Float.max 0. r)
+        paths.(i))
+    flows;
+  (* Phase 2: progressive filling of the residual demand. *)
+  let n_left = ref 0 in
+  Array.iteri
+    (fun i (f : Maxmin.flow) ->
+      if Float.max 0. (f.demand -. base.(i)) > eps then begin
+        active.(i) <- true;
+        incr n_left;
+        Array.iter (fun l -> n_active.(l) <- n_active.(l) + 1) paths.(i)
+      end)
+    flows;
+  let continue_ = ref (!n_left > 0) in
+  while !continue_ do
+    let link_limit = ref infinity in
+    for l = 0 to nl - 1 do
+      if n_active.(l) > 0 then
+        link_limit :=
+          Float.min !link_limit (remaining.(l) /. float_of_int n_active.(l))
+    done;
+    let demand_limit = ref infinity in
+    for i = 0 to nf - 1 do
+      if active.(i) then
+        let residual = Float.max 0. (flows.(i).demand -. base.(i)) in
+        demand_limit := Float.min !demand_limit (residual -. granted.(i))
+    done;
+    let inc = Float.min !link_limit !demand_limit in
+    if inc = infinity then continue_ := false
+    else begin
+      let inc = Float.max inc 0. in
+      for i = 0 to nf - 1 do
+        if active.(i) then begin
+          granted.(i) <- granted.(i) +. inc;
+          Array.iter (fun l -> remaining.(l) <- remaining.(l) -. inc) paths.(i)
+        end
+      done;
+      let frozen = ref 0 in
+      for i = 0 to nf - 1 do
+        if active.(i) then begin
+          let residual = Float.max 0. (flows.(i).demand -. base.(i)) in
+          let keep =
+            residual -. granted.(i) > eps
+            && not (Array.exists (fun l -> remaining.(l) <= eps) paths.(i))
+          in
+          if not keep then begin
+            active.(i) <- false;
+            Array.iter (fun l -> n_active.(l) <- n_active.(l) - 1) paths.(i);
+            incr frozen;
+            decr n_left
+          end
+        end
+      done;
+      if !n_left = 0 || (!frozen = 0 && inc <= eps) then continue_ := false
+    end
+  done;
+  Array.mapi (fun i _ -> base.(i) +. granted.(i)) flows
+
+let filling ~(links : Maxmin.link list) ~(flows : Maxmin.flow list) =
+  let caps = Hashtbl.create 16 in
+  List.iter
+    (fun (l : Maxmin.link) -> Hashtbl.replace caps l.link_id l.capacity)
+    links;
+  let ids = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Maxmin.flow) ->
+      if Hashtbl.mem ids f.flow_id then
+        invalid_arg (Printf.sprintf "filling: duplicate flow %d" f.flow_id);
+      Hashtbl.replace ids f.flow_id ();
+      List.iteri
+        (fun k l ->
+          if not (Hashtbl.mem caps l) then
+            invalid_arg (Printf.sprintf "filling: unknown link %d" l);
+          if List.mem l (List.filteri (fun j _ -> j > k) f.path) then
+            invalid_arg (Printf.sprintf "filling: duplicate link %d" l))
+        f.path)
+    flows;
+  (* Sharing components: union-find over link ids. *)
+  let parent = Hashtbl.create 16 in
+  let rec find l =
+    match Hashtbl.find_opt parent l with
+    | None -> l
+    | Some p ->
+        let r = find p in
+        if r <> p then Hashtbl.replace parent l r;
+        r
+  in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then Hashtbl.replace parent ra rb
+  in
+  List.iter
+    (fun (f : Maxmin.flow) ->
+      match f.path with [] -> () | l :: rest -> List.iter (union l) rest)
+    flows;
+  let members = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Maxmin.flow) ->
+      match f.path with
+      | [] -> ()
+      | l :: _ ->
+          let r = find l in
+          Hashtbl.replace members r
+            (f :: Option.value ~default:[] (Hashtbl.find_opt members r)))
+    flows;
+  let rates = Hashtbl.create 16 in
+  let infeasible = ref false in
+  Hashtbl.iter
+    (fun _ fs ->
+      let fs =
+        Array.of_list
+          (List.sort
+             (fun (a : Maxmin.flow) b -> compare a.flow_id b.flow_id)
+             fs)
+      in
+      let links =
+        Array.of_list
+          (List.sort_uniq compare
+             (List.concat_map (fun (f : Maxmin.flow) -> f.path)
+                (Array.to_list fs)))
+      in
+      match filling_component ~caps:(Hashtbl.find caps) fs links with
+      | r -> Array.iteri (fun i (f : Maxmin.flow) -> Hashtbl.replace rates f.flow_id r.(i)) fs
+      | exception Infeasible -> infeasible := true)
+    members;
+  if !infeasible then invalid_arg "filling: infeasible guarantees";
+  Array.of_list
+    (List.map
+       (fun (f : Maxmin.flow) ->
+         ( f.flow_id,
+           match f.path with
+           | [] ->
+               if f.demand = infinity then Float.min f.guarantee f.demand
+               else f.demand
+           | _ -> Hashtbl.find rates f.flow_id ))
+       flows)

@@ -48,3 +48,18 @@ val check_report :
     built from the same arguments) holds one epoch per input epoch and
     every [epoch_report.steady] — and [report.rates] — is bitwise
     {!steady}. *)
+
+val filling :
+  links:Cm_enforce.Maxmin.link list ->
+  flows:Cm_enforce.Maxmin.flow list ->
+  (int * float) array
+(** The retired progressive-filling loop of [Maxmin.Inc], kept verbatim
+    as the specification of {!Cm_enforce.Maxmin.with_guarantees}: per
+    sharing component, over its flows in ascending flow-id order, phase
+    1 hands out [min demand guarantee] and phase 2 raises every unfrozen
+    flow together, rescanning every flow and link each round.  Returns
+    [(flow_id, rate)] in input order; [with_guarantees] must equal it
+    bit for bit.
+
+    @raise Invalid_argument on unknown links, duplicate links in a path,
+    duplicate flow ids, or infeasible guarantees. *)

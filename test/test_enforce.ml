@@ -721,19 +721,21 @@ let test_churn_oracle_detects_ulp () =
 
 let inc_links = List.init 6 (fun i -> link i 100.)
 
-let random_path rng =
-  (* 0-3 distinct links out of the 6-link universe (partial
-     Fisher-Yates), so paths share links and components merge and
-     split as flows churn. *)
-  let n = Random.State.int rng 4 in
-  let all = [| 0; 1; 2; 3; 4; 5 |] in
-  for i = 0 to n - 1 do
-    let j = i + Random.State.int rng (6 - i) in
+let random_links rng ~n_links ~hops =
+  (* [hops] distinct links out of [0, n_links) (partial Fisher-Yates). *)
+  let all = Array.init n_links Fun.id in
+  for i = 0 to hops - 1 do
+    let j = i + Random.State.int rng (n_links - i) in
     let t = all.(i) in
     all.(i) <- all.(j);
     all.(j) <- t
   done;
-  Array.to_list (Array.sub all 0 n)
+  Array.to_list (Array.sub all 0 hops)
+
+let random_path rng =
+  (* 0-3 distinct links out of the 6-link universe, so paths share links
+     and components merge and split as flows churn. *)
+  random_links rng ~n_links:6 ~hops:(Random.State.int rng 4)
 
 let random_flow rng id =
   let demand =
@@ -745,12 +747,13 @@ let random_flow rng id =
   { Maxmin.flow_id = id; path = random_path rng; demand; guarantee }
 
 let prop_inc_matches_cold_oracle =
-  (* Tentpole acceptance: over seeded churn traces of arrivals,
-     departures, demand and guarantee changes, the incremental fixed
-     point is compared bitwise against the from-scratch
-     with_guarantees oracle after every epoch; a 4-domain replay must
-     match a 1-domain solve bit-for-bit; and a rollback to cold start
-     (invalidate_all) must reproduce the incremental rates exactly. *)
+  (* Over seeded churn traces of arrivals, departures, demand and
+     guarantee changes, the incremental fixed point is compared bitwise
+     against the from-scratch with_guarantees oracle and the retired
+     progressive-filling loop (Cm_oracle.Enforce.filling) after every
+     epoch; a 4-domain replay must match a 1-domain solve bit-for-bit;
+     and a rollback to cold start (invalidate_all) must reproduce the
+     incremental rates exactly. *)
   QCheck.Test.make ~name:"Inc.solve = with_guarantees oracle under churn"
     ~count:40
     QCheck.(int_range 0 1_000_000)
@@ -797,14 +800,16 @@ let prop_inc_matches_cold_oracle =
           Hashtbl.fold (fun _ f acc -> f :: acc) current []
           |> List.sort (fun (a : Maxmin.flow) b -> compare a.flow_id b.flow_id)
         in
-        let oracle = Maxmin.with_guarantees ~links:inc_links ~flows in
-        Array.iter
-          (fun (id, r) ->
+        let cold = Maxmin.with_guarantees ~links:inc_links ~flows in
+        let spec = Cm_oracle.Enforce.filling ~links:inc_links ~flows in
+        Array.iter2
+          (fun (id, r) (_, r') ->
             if
               bits (Maxmin.Inc.rate inc id) <> bits r
               || bits (Maxmin.Inc.rate inc4 id) <> bits r
+              || bits r' <> bits r
             then ok := false)
-          oracle
+          cold spec
       done;
       let snapshot =
         Hashtbl.fold
@@ -844,6 +849,150 @@ let test_inc_stats_track_dirty_frontier () =
   Maxmin.Inc.solve t;
   let s = Maxmin.Inc.last_stats t in
   Alcotest.(check int) "clean solve resolves nothing" 0 s.flows_resolved
+
+let random_instance rng =
+  (* Small instances biased towards the solver's edge cases: zero and
+     quantized capacities (ties), infinite, zero and sub-guarantee
+     demands, zero guarantees, shared links, and guarantee sums that
+     sometimes overflow a link (infeasible).  Flow ids are distinct and
+     the input order shuffled, so the canonical id order is exercised. *)
+  let n_links = 1 + Random.State.int rng 6 in
+  let links =
+    List.init n_links (fun id ->
+        let capacity =
+          match Random.State.int rng 8 with
+          | 0 -> 0.
+          | 1 | 2 | 3 | 4 -> 10. *. float_of_int (1 + Random.State.int rng 20)
+          | _ -> Random.State.float rng 200.
+        in
+        link (3 * id) capacity)
+  in
+  let n_flows = Random.State.int rng 15 in
+  let ids = Array.init n_flows (fun i -> (5 * i) + 1) in
+  for i = n_flows - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let flows =
+    Array.to_list
+      (Array.map
+         (fun id ->
+           let path =
+             List.map
+               (fun l -> 3 * l)
+               (random_links rng ~n_links
+                  ~hops:(Random.State.int rng (min 3 n_links + 1)))
+           in
+           let guarantee =
+             match Random.State.int rng 3 with
+             | 0 -> 0.
+             | 1 -> 5. *. float_of_int (Random.State.int rng 6)
+             | _ -> Random.State.float rng 20.
+           in
+           let demand =
+             match Random.State.int rng 5 with
+             | 0 | 1 -> infinity
+             | 2 -> 0.
+             | 3 -> guarantee *. Random.State.float rng 1.
+             | _ ->
+                 if Random.State.bool rng then
+                   5. *. float_of_int (Random.State.int rng 30)
+                 else Random.State.float rng 150.
+           in
+           { Maxmin.flow_id = id; path; demand; guarantee })
+         ids)
+  in
+  (links, flows)
+
+let prop_with_guarantees_matches_filling =
+  (* with_guarantees is the same core as Inc, so only the retired loop
+     can catch a drift in float order: every rate must match it bit for
+     bit, and an infeasible instance must make both raise. *)
+  QCheck.Test.make ~name:"with_guarantees = filling spec bitwise"
+    ~count:3000
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0xF111; seed |] in
+      let links, flows = random_instance rng in
+      let outcome f =
+        match f ~links ~flows with
+        | r -> Some (Array.map (fun (id, x) -> (id, Int64.bits_of_float x)) r)
+        | exception Invalid_argument _ -> None
+      in
+      outcome Maxmin.with_guarantees = outcome Cm_oracle.Enforce.filling)
+
+let test_inc_failed_solve_changes_nothing () =
+  (* Two independent links: a feasible arrival on link 10 and an
+     infeasible one on link 20.  The failed solve must write no rate
+     and name itself and the link; once the guarantee is fixed, the
+     next solve must equal a cold solve. *)
+  let links = [ link 10 100.; link 20 100. ] in
+  let t = Maxmin.Inc.create ~links in
+  Maxmin.Inc.set t (flow 0 [ 10 ] infinity);
+  Maxmin.Inc.set t (flow 2 [ 20 ] infinity);
+  Maxmin.Inc.solve t;
+  Maxmin.Inc.set t (flow 1 [ 10 ] infinity);
+  Maxmin.Inc.set t (flow ~guarantee:150. 3 [ 20 ] infinity);
+  (match Maxmin.Inc.solve t with
+  | () -> Alcotest.fail "infeasible solve succeeded"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message"
+        "Maxmin.Inc.solve: infeasible guarantees on link 20" msg);
+  List.iter
+    (fun (id, r) ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "flow %d unchanged" id) r
+        (Maxmin.Inc.rate t id))
+    [ (0, 100.); (1, 0.); (2, 100.); (3, 0.) ];
+  let fixed = flow ~guarantee:50. 3 [ 20 ] infinity in
+  Maxmin.Inc.set t fixed;
+  Maxmin.Inc.solve t;
+  let cold =
+    Maxmin.with_guarantees ~links
+      ~flows:
+        [ flow 0 [ 10 ] infinity; flow 1 [ 10 ] infinity;
+          flow 2 [ 20 ] infinity; fixed ]
+  in
+  Array.iter
+    (fun (id, r) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "flow %d = cold" id)
+        (Int64.bits_of_float r)
+        (Int64.bits_of_float (Maxmin.Inc.rate t id)))
+    cold
+
+let test_inc_solve_allocation_linear () =
+  (* One giant component: 400 flows over 3 of 40 shared links each, with
+     ~100 distinct demand levels, so the fill runs for hundreds of
+     rounds.  A cold solve must allocate linearly in flows + links +
+     path cells, not per (round, active flow) as a rescanning fill
+     does. *)
+  let n_links = 40 and n_flows = 400 and hops = 3 in
+  let links = List.init n_links (fun id -> link id 1000.) in
+  let rng = Random.State.make [| 0xA110C |] in
+  let t = Maxmin.Inc.create ~links in
+  for id = 0 to n_flows - 1 do
+    let demand =
+      if id mod 4 = 0 then infinity else 1. +. (0.37 *. float_of_int (id mod 97))
+    in
+    Maxmin.Inc.set t
+      (flow ~guarantee:(0.5 *. float_of_int (id mod 5)) id
+         (random_links rng ~n_links ~hops)
+         demand)
+  done;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  Maxmin.Inc.solve ~domains:1 t;
+  let allocated = words () -. w0 in
+  Alcotest.(check int) "one component" 1 (Maxmin.Inc.last_stats t).components;
+  let bound = float_of_int (16 * (n_flows + n_links + (n_flows * hops))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated <= %.0f" allocated bound)
+    true (allocated <= bound)
 
 (* {1 Properties} *)
 
@@ -1077,6 +1226,11 @@ let () =
           Alcotest.test_case "dirty-frontier stats" `Quick
             test_inc_stats_track_dirty_frontier;
           QCheck_alcotest.to_alcotest prop_inc_matches_cold_oracle;
+          QCheck_alcotest.to_alcotest prop_with_guarantees_matches_filling;
+          Alcotest.test_case "failed solve changes nothing" `Quick
+            test_inc_failed_solve_changes_nothing;
+          Alcotest.test_case "solve allocation linear" `Quick
+            test_inc_solve_allocation_linear;
         ] );
       ( "failures",
         [
