@@ -41,6 +41,9 @@ ci:
 #   sim-failures      failure campaign: recovery counters and
 #                     survivability invariants
 #   enforce-failures  the same schedules through the enforcement loop
+#   examples          the nine examples, run to completion (the only
+#                     callers of End_to_end.evaluate's full_system
+#                     path and of the CLI-style Runner callers)
 ci-smokes:
 	scripts/ci-bench-smoke.sh fig8 --fast --arrivals 200
 	scripts/ci-bench-smoke.sh placement --fast --jobs 1
@@ -49,6 +52,7 @@ ci-smokes:
 	scripts/ci-bench-smoke.sh inference-stream --fast --jobs 2
 	scripts/ci-bench-smoke.sh sim-failures --fast --arrivals 400 --jobs 1
 	scripts/ci-bench-smoke.sh enforce-failures --jobs 1
+	$(MAKE) examples
 
 # Full paper-scale reproduction of every table and figure.  Sweeps fan
 # out over all cores; JOBS=N pins the domain count (JOBS=1 = sequential).
@@ -94,16 +98,17 @@ bench-inference-stream:
 bench-failures:
 	dune exec bench/main.exe -- $(JOBS_FLAG) sim-failures enforce-failures --metrics-out BENCH_failures.json
 
+# The nine examples, each run to completion (a non-zero exit fails the
+# target).  Through `opam exec` when opam is there, as the smokes do.
+EXAMPLES = quickstart three_tier_web storm_pipeline ha_placement \
+  inference_demo enforcement_demo autoscale_demo disaggregated_dc full_system
+DUNE = $(if $(shell command -v opam 2>/dev/null),opam exec -- dune,dune)
+
 examples:
-	dune exec examples/quickstart.exe
-	dune exec examples/three_tier_web.exe
-	dune exec examples/storm_pipeline.exe
-	dune exec examples/ha_placement.exe
-	dune exec examples/inference_demo.exe
-	dune exec examples/enforcement_demo.exe
-	dune exec examples/autoscale_demo.exe
-	dune exec examples/disaggregated_dc.exe
-	dune exec examples/full_system.exe
+	@for e in $(EXAMPLES); do \
+	  echo "== examples/$$e.exe"; \
+	  $(DUNE) exec examples/$$e.exe || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -116,38 +116,59 @@ let finish_metrics (metrics_out, trace_out) =
       Printf.eprintf "wrote %d trace events (%d dropped) to %s\n%!"
         (Cm_obs.Trace.recorded ()) (Cm_obs.Trace.dropped ()) path
 
+(* A converter for numbers [of_string] reads and [ok] admits, so an
+   out-of-range value is a usage error rather than an uncaught
+   [Invalid_argument] from the simulator. *)
+let checked_conv ~kind of_string ~ok ~expect pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | Some _ -> Error (`Msg ("must be " ^ expect))
+    | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" kind s))
+  in
+  Arg.conv (parse, pp)
+
 let jobs_t =
   let doc =
     "Worker domains for parallel sweeps (default: the host's recommended \
      domain count).  Results are identical for every value."
   in
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt jobs_conv (Cm_util.Par.available_domains ())
+    & opt
+        (checked_conv ~kind:"an integer" int_of_string_opt ~ok:(fun n -> n >= 1)
+           ~expect:">= 1" Format.pp_print_int)
+        (Cm_util.Par.available_domains ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let set_jobs jobs = Cm_util.Par.set_default_domains jobs
 
 let arrivals_t =
   let doc = "Poisson arrivals per simulated point (paper: 10000)." in
-  Arg.(value & opt int 2000 & info [ "arrivals" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt
+        (checked_conv ~kind:"an integer" int_of_string_opt ~ok:(fun n -> n >= 0)
+           ~expect:">= 0" Format.pp_print_int)
+        2000
+    & info [ "arrivals" ] ~docv:"N" ~doc)
 
 let bmax_t =
   let doc = "Bmax scaling target in Mbps (paper sweeps 400-1200)." in
   Arg.(value & opt float 800. & info [ "bmax" ] ~docv:"MBPS" ~doc)
 
 let load_t =
-  let doc = "Offered datacenter load in (0,1]." in
-  Arg.(value & opt float 0.9 & info [ "load" ] ~docv:"LOAD" ~doc)
+  let doc =
+    "Offered datacenter load: finite and positive (the paper sweeps (0,1])."
+  in
+  Arg.(
+    value
+    & opt
+        (checked_conv ~kind:"a number" float_of_string_opt
+           ~ok:(fun x -> Float.is_finite x && x > 0.)
+           ~expect:"finite and > 0" Format.pp_print_float)
+        0.9
+    & info [ "load" ] ~docv:"LOAD" ~doc)
 
 (* {1 experiment command} *)
 

@@ -79,8 +79,7 @@ let path_to_root tree s =
     (Tree.path_to_root tree s)
 
 (* Materialize each VM's server from the locations table. *)
-let vm_servers tree (locations : Types.locations) =
-  ignore tree;
+let vm_servers (locations : Types.locations) =
   Array.map
     (fun placed ->
       Array.concat
@@ -111,14 +110,13 @@ let sample_pairs rng ~n_src ~n_dst ~self ~cap =
 type flow_meta = {
   tenant_ix : int;
   edge_ix : int;  (** Index into the tenant's edge array; -1 = background. *)
-  promise : float;  (** TAG pair guarantee — what the tenant was sold. *)
+  promise : float;  (** The actual TAG's pair guarantee: what the traffic needs. *)
 }
 
 (* Shared tail: feasibility-cap the guarantees, run the max-min
    allocation and score each sampled pair against its promise.
    [tenant_edges] holds each tenant's (name, edge count). *)
 let allocate_and_report ~links ~flows ~metas ~tenant_edges =
-  let metas = Array.of_list (List.rev metas) in
   (* Feasibility cap: hose-partitioned guarantees can exceed what the
      links can carry (that is the §2.2 waste); scale each flow's
      protection by its most-overloaded link so the allocator stays
@@ -227,135 +225,118 @@ let allocate_and_report ~links ~flows ~metas ~tenant_edges =
     flows = List.length flows;
   }
 
-let evaluate ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng ~tree
-    ~tenants ~mode () =
-  let links = links_of_tree tree in
-  let flows = ref [] and metas = ref [] in
-  let next_id = ref 0 in
+(* One sampled flow of a TAG edge between VMs ['v] — (component,
+   index) coordinates, or servers once placed.  An external endpoint is
+   its component, which guarantee partitioning sees as one pseudo VM. *)
+type 'v pair =
+  | Internal of 'v * 'v
+  | To_external of 'v * int
+  | From_external of int * 'v
+
+let map_vms f = function
+  | Internal (a, b) -> Internal (f a, f b)
+  | To_external (a, x) -> To_external (f a, x)
+  | From_external (x, b) -> From_external (x, f b)
+
+let elastic_pair p =
+  let vm (comp, vm) = { Elastic.comp; vm } in
+  let ext comp = { Elastic.comp; vm = 0 } in
+  match p with
+  | Internal (a, b) -> { Elastic.src = vm a; dst = vm b }
+  | To_external (a, x) -> { Elastic.src = vm a; dst = ext x }
+  | From_external (x, b) -> { Elastic.src = ext x; dst = vm b }
+
+(* Traffic to or from an external is routed through the root: up-links
+   out, the same path's down-links in. *)
+let path_of tree = function
+  | Internal (s1, s2) -> path_between tree s1 s2
+  | To_external (s, _) -> path_to_root tree s
+  | From_external (_, s) ->
+      List.map (fun l -> l + 1) (path_to_root tree s)
+
+(* Every edge's active pairs, in edge order: one flow per VM on the
+   tier side of an external edge, up to [cap] sampled pairs otherwise. *)
+let sample_tenant rng ~cap tag =
+  let acc = ref [] in
+  Array.iteri
+    (fun edge_ix (e : Tag.edge) ->
+      let add p = acc := (edge_ix, p) :: !acc in
+      if Tag.is_external tag e.src then
+        for j = 0 to Tag.size tag e.dst - 1 do
+          add (From_external (e.src, (e.dst, j)))
+        done
+      else if Tag.is_external tag e.dst then
+        for i = 0 to Tag.size tag e.src - 1 do
+          add (To_external ((e.src, i), e.dst))
+        done
+      else
+        List.iter
+          (fun (i, j) -> add (Internal ((e.src, i), (e.dst, j))))
+          (sample_pairs rng ~n_src:(Tag.size tag e.src)
+             ~n_dst:(Tag.size tag e.dst) ~self:(e.src = e.dst) ~cap))
+    (Tag.edges tag);
+  Array.of_list (List.rev !acc)
+
+(* The flow materializer behind both entry points.  Each tenant is
+   [(actual, sold, to_sold, locations)]: pairs are sampled from the
+   [actual] TAG, whose pair guarantees are the promise; enforcement
+   partitions the [sold] TAG over the same pairs, mapped by [to_sold]
+   into its (component, index) coordinates, which also key
+   [locations]. *)
+let materialize ~pairs_per_edge ~background_flows ~rng ~tree ~mode tenants =
+  let flows = ref [] and metas = ref [] and n_flows = ref 0 in
+  let add path guarantee meta =
+    flows :=
+      { Maxmin.flow_id = !n_flows; path; demand = infinity; guarantee }
+      :: !flows;
+    metas := meta :: !metas;
+    incr n_flows
+  in
   List.iteri
-    (fun tenant_ix (tag, locations) ->
-      let servers = vm_servers tree locations in
-      (* Collect this tenant's sampled active pairs per edge. *)
-      let tenant_pairs = ref [] in
-      Array.iteri
-        (fun edge_ix (e : Tag.edge) ->
-          if Tag.is_external tag e.src then begin
-            (* Traffic from an external: per-VM receive flows routed from
-               the root. *)
-            for j = 0 to Tag.size tag e.dst - 1 do
-              tenant_pairs := (edge_ix, `From_external (e.dst, j)) :: !tenant_pairs
-            done
-          end
-          else if Tag.is_external tag e.dst then
-            for i = 0 to Tag.size tag e.src - 1 do
-              tenant_pairs := (edge_ix, `To_external (e.src, i)) :: !tenant_pairs
-            done
-          else begin
-            let self = e.src = e.dst in
-            let chosen =
-              sample_pairs rng ~n_src:(Tag.size tag e.src)
-                ~n_dst:(Tag.size tag e.dst) ~self ~cap:pairs_per_edge
-            in
-            List.iter
-              (fun (i, j) ->
-                tenant_pairs :=
-                  (edge_ix, `Internal ((e.src, i), (e.dst, j)))
-                  :: !tenant_pairs)
-              chosen
-          end)
-        (Tag.edges tag);
-      let tenant_pairs = List.rev !tenant_pairs in
-      (* Guarantee partitioning over the tenant's active set. *)
-      let elastic_pairs =
-        List.map
-          (fun (_, kind) ->
-            match kind with
-            | `Internal ((c1, i), (c2, j)) ->
-                {
-                  Elastic.src = { Elastic.comp = c1; vm = i };
-                  dst = { Elastic.comp = c2; vm = j };
-                }
-            | `To_external (c, i) ->
-                (* Represent the external endpoint as a pseudo VM of the
-                   external component. *)
-                let ext =
-                  List.find
-                    (fun x -> Tag.is_external tag x)
-                    (List.init
-                       (Tag.n_components tag + Tag.n_externals tag)
-                       Fun.id)
-                in
-                {
-                  Elastic.src = { Elastic.comp = c; vm = i };
-                  dst = { Elastic.comp = ext; vm = 0 };
-                }
-            | `From_external (c, j) ->
-                let ext =
-                  List.find
-                    (fun x -> Tag.is_external tag x)
-                    (List.init
-                       (Tag.n_components tag + Tag.n_externals tag)
-                       Fun.id)
-                in
-                {
-                  Elastic.src = { Elastic.comp = ext; vm = 0 };
-                  dst = { Elastic.comp = c; vm = j };
-                })
-          tenant_pairs
+    (fun tenant_ix (actual, sold, to_sold, locations) ->
+      let sampled = sample_tenant rng ~cap:pairs_per_edge actual in
+      let sold_pairs = Array.map (fun (_, p) -> map_vms to_sold p) sampled in
+      let guarantees tag gp pairs =
+        Elastic.pair_guarantees tag gp
+          ~pairs:(Array.to_list (Array.map elastic_pair pairs))
+        |> List.map snd |> Array.of_list
       in
       let promises =
-        Elastic.pair_guarantees tag Elastic.Tag_gp ~pairs:elastic_pairs
+        guarantees actual Elastic.Tag_gp (Array.map snd sampled)
       in
       let enforced =
         match mode with
-        | No_protection -> List.map (fun (p, _) -> (p, 0.)) promises
-        | Hose_protection ->
-            Elastic.pair_guarantees tag Elastic.Hose_gp ~pairs:elastic_pairs
-        | Tag_protection -> promises
+        | No_protection -> Array.make (Array.length sampled) 0.
+        | Hose_protection -> guarantees sold Elastic.Hose_gp sold_pairs
+        | Tag_protection -> guarantees sold Elastic.Tag_gp sold_pairs
       in
-      List.iteri
-        (fun k (edge_ix, kind) ->
-          let path =
-            match kind with
-            | `Internal ((c1, i), (c2, j)) ->
-                path_between tree servers.(c1).(i) servers.(c2).(j)
-            | `To_external (c, i) -> path_to_root tree servers.(c).(i)
-            | `From_external (c, j) ->
-                List.map
-                  (fun l -> l + 1) (* up -> down links on the same path *)
-                  (path_to_root tree servers.(c).(j))
-          in
-          let _, promise = List.nth promises k in
-          let _, g = List.nth enforced k in
-          let id = !next_id in
-          incr next_id;
-          flows :=
-            { Maxmin.flow_id = id; path; demand = infinity; guarantee = g }
-            :: !flows;
-          metas := { tenant_ix; edge_ix; promise } :: !metas)
-        tenant_pairs)
+      let servers = vm_servers locations in
+      Array.iteri
+        (fun k (edge_ix, _) ->
+          let placed = map_vms (fun (c, i) -> servers.(c).(i)) sold_pairs.(k) in
+          add (path_of tree placed) enforced.(k)
+            { tenant_ix; edge_ix; promise = promises.(k) })
+        sampled)
     tenants;
   (* Unguaranteed background congestion. *)
   let servers = Tree.servers tree in
   for _ = 1 to background_flows do
     let s1 = Rng.pick rng servers and s2 = Rng.pick rng servers in
-    let id = !next_id in
-    incr next_id;
-    flows :=
-      {
-        Maxmin.flow_id = id;
-        path = path_between tree s1 s2;
-        demand = infinity;
-        guarantee = 0.;
-      }
-      :: !flows;
-    metas := { tenant_ix = -1; edge_ix = -1; promise = 0. } :: !metas
+    add (path_between tree s1 s2) 0.
+      { tenant_ix = -1; edge_ix = -1; promise = 0. }
   done;
-  allocate_and_report ~links ~flows:(List.rev !flows) ~metas:!metas
+  allocate_and_report ~links:(links_of_tree tree) ~flows:(List.rev !flows)
+    ~metas:(Array.of_list (List.rev !metas))
     ~tenant_edges:
       (List.map
-         (fun (tag, _) -> (Tag.name tag, Array.length (Tag.edges tag)))
+         (fun (actual, _, _, _) ->
+           (Tag.name actual, Array.length (Tag.edges actual)))
          tenants)
+
+let evaluate ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng ~tree
+    ~tenants ~mode () =
+  materialize ~pairs_per_edge ~background_flows ~rng ~tree ~mode
+    (List.map (fun (tag, locations) -> (tag, tag, Fun.id, locations)) tenants)
 
 (* Map (component, vm) coordinates of one TAG to the other through the
    shared global VM numbering (components concatenated in order). *)
@@ -376,102 +357,15 @@ let of_global offs g =
 
 let evaluate_with_tags ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng
     ~tree ~tenants ~mode () =
-  let links = links_of_tree tree in
-  let flows = ref [] and metas = ref [] in
-  let next_id = ref 0 in
-  List.iteri
-    (fun tenant_ix (actual, sold, locations) ->
-      if Tag.n_externals actual > 0 || Tag.n_externals sold > 0 then
-        invalid_arg "evaluate_with_tags: external components unsupported";
-      let a_offs = vm_offsets actual and s_offs = vm_offsets sold in
-      let na = a_offs.(Tag.n_components actual)
-      and ns = s_offs.(Tag.n_components sold) in
-      if na <> ns then
-        invalid_arg "evaluate_with_tags: actual/sold VM count mismatch";
-      let servers = vm_servers tree locations in
-      (* Sample active pairs from the ACTUAL communication structure. *)
-      let tenant_pairs = ref [] in
-      Array.iteri
-        (fun edge_ix (e : Tag.edge) ->
-          let self = e.src = e.dst in
-          let chosen =
-            sample_pairs rng ~n_src:(Tag.size actual e.src)
-              ~n_dst:(Tag.size actual e.dst) ~self ~cap:pairs_per_edge
-          in
-          List.iter
-            (fun (i, j) ->
-              tenant_pairs := (edge_ix, (e.src, i), (e.dst, j)) :: !tenant_pairs)
-            chosen)
-        (Tag.edges actual);
-      let tenant_pairs = List.rev !tenant_pairs in
-      let actual_pairs =
-        List.map
-          (fun (_, (c1, i), (c2, j)) ->
-            {
-              Elastic.src = { Elastic.comp = c1; vm = i };
-              dst = { Elastic.comp = c2; vm = j };
-            })
-          tenant_pairs
-      in
-      (* Same pairs in the SOLD TAG's coordinates: guarantees are
-         enforced from what was negotiated, which may be stale. *)
-      let sold_pairs =
-        List.map
-          (fun (_, (c1, i), (c2, j)) ->
-            let sc1, si = of_global s_offs (a_offs.(c1) + i) in
-            let sc2, sj = of_global s_offs (a_offs.(c2) + j) in
-            {
-              Elastic.src = { Elastic.comp = sc1; vm = si };
-              dst = { Elastic.comp = sc2; vm = sj };
-            })
-          tenant_pairs
-      in
-      (* The promise is what the tenant's application now needs. *)
-      let promises =
-        Elastic.pair_guarantees actual Elastic.Tag_gp ~pairs:actual_pairs
-      in
-      let enforced =
-        match mode with
-        | No_protection -> List.map (fun (p, _) -> (p, 0.)) promises
-        | Hose_protection ->
-            Elastic.pair_guarantees sold Elastic.Hose_gp ~pairs:sold_pairs
-        | Tag_protection ->
-            Elastic.pair_guarantees sold Elastic.Tag_gp ~pairs:sold_pairs
-      in
-      List.iteri
-        (fun k (edge_ix, (c1, i), (c2, j)) ->
-          (* Placement is keyed by the sold TAG's components. *)
-          let sc1, si = of_global s_offs (a_offs.(c1) + i) in
-          let sc2, sj = of_global s_offs (a_offs.(c2) + j) in
-          let path = path_between tree servers.(sc1).(si) servers.(sc2).(sj) in
-          let _, promise = List.nth promises k in
-          let _, g = List.nth enforced k in
-          let id = !next_id in
-          incr next_id;
-          flows :=
-            { Maxmin.flow_id = id; path; demand = infinity; guarantee = g }
-            :: !flows;
-          metas := { tenant_ix; edge_ix; promise } :: !metas)
-        tenant_pairs)
-    tenants;
-  let servers = Tree.servers tree in
-  for _ = 1 to background_flows do
-    let s1 = Rng.pick rng servers and s2 = Rng.pick rng servers in
-    let id = !next_id in
-    incr next_id;
-    flows :=
-      {
-        Maxmin.flow_id = id;
-        path = path_between tree s1 s2;
-        demand = infinity;
-        guarantee = 0.;
-      }
-      :: !flows;
-    metas := { tenant_ix = -1; edge_ix = -1; promise = 0. } :: !metas
-  done;
-  allocate_and_report ~links ~flows:(List.rev !flows) ~metas:!metas
-    ~tenant_edges:
-      (List.map
-         (fun (actual, _, _) ->
-           (Tag.name actual, Array.length (Tag.edges actual)))
-         tenants)
+  materialize ~pairs_per_edge ~background_flows ~rng ~tree ~mode
+    (List.map
+       (fun (actual, sold, locations) ->
+         if Tag.n_externals actual > 0 || Tag.n_externals sold > 0 then
+           invalid_arg "evaluate_with_tags: external components unsupported";
+         let a_offs = vm_offsets actual and s_offs = vm_offsets sold in
+         if
+           a_offs.(Tag.n_components actual) <> s_offs.(Tag.n_components sold)
+         then invalid_arg "evaluate_with_tags: actual/sold VM count mismatch";
+         let to_sold (c, i) = of_global s_offs (a_offs.(c) + i) in
+         (actual, sold, to_sold, locations))
+       tenants)

@@ -616,29 +616,9 @@ end
    Both are one cold pass of the incremental solver: every link starts
    dirty, so every component is solved from scratch.  Keeping a single
    solver core is what makes [with_guarantees] a bit-exact oracle for
-   the incremental path. *)
-
-let check_paths ~links ~flows =
-  let known = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace known l.link_id ()) links;
-  List.iter
-    (fun f ->
-      let rec go = function
-        | [] -> ()
-        | l :: rest ->
-            if not (Hashtbl.mem known l) then
-              invalid_arg (Printf.sprintf "Maxmin: unknown link %d" l);
-            if List.mem l rest then
-              invalid_arg
-                (Printf.sprintf "Maxmin: duplicate link %d in flow %d's path" l
-                   f.flow_id);
-            go rest
-      in
-      go f.path)
-    flows
+   the incremental path.  [Inc.set] validates every path. *)
 
 let solve_cold ~links ~flows =
-  check_paths ~links ~flows;
   let t = Inc.create ~links in
   List.iter (fun f -> Inc.set t f) flows;
   Inc.solve t;

@@ -85,125 +85,47 @@ let max_wcs r =
   if Array.length r.wcs_per_component = 0 then 0.
   else 100. *. snd (Cm_util.Stats.min_max r.wcs_per_component)
 
-let run ?series_prefix (sched : Driver.scheduler) tree pool config =
-  if config.load <= 0. then invalid_arg "Runner.run: load must be positive";
-  let rng = Rng.create config.seed in
-  let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
-  in
-  let departures = Pqueue.create () in
-  let clock = ref 0. in
-  let accepted = ref 0
-  and rejected = ref 0
-  and rejected_no_slots = ref 0
-  and rejected_no_bw = ref 0
-  and offered_vms = ref 0
-  and rejected_vms = ref 0
-  and offered_bw = ref 0.
-  and rejected_bw = ref 0. in
-  let wcs_samples = ref [] in
-  let util_sum = ref 0. in
-  let total_slots = float_of_int (Tree.total_slots tree) in
-  for i = 1 to config.n_arrivals do
-    clock := !clock +. Rng.exponential rng ~rate:lambda;
-    Metrics.incr m_arrivals;
-    (* Process departures scheduled before this arrival. *)
-    let rec drain () =
-      match Pqueue.peek departures with
-      | Some (t, _) when t <= !clock -> begin
-          match Pqueue.pop departures with
-          | Some (_, placement) ->
-              sched.Driver.release placement;
-              Metrics.incr m_departures;
-              drain ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drain ();
-    let util =
-      (total_slots -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
-      /. total_slots
-    in
-    util_sum := !util_sum +. util;
-    sample_series series_prefix "utilization" ~x:(float_of_int i) util;
-    let tag = Rng.pick rng pool.Pool.tags in
-    let vms = Tag.total_vms tag in
-    let bw = Tag.aggregate_bandwidth tag in
-    offered_vms := !offered_vms + vms;
-    offered_bw := !offered_bw +. bw;
-    (match sched.Driver.place (Types.request ?ha:config.ha tag) with
-    | Ok placement ->
-        incr accepted;
-        Metrics.incr m_accepted;
-        (* Use the placement's own TAG: schedulers may deploy a converted
-           rendering (e.g. the VC baseline) with different components. *)
-        let wcs =
-          Wcs.per_component tree placement.Types.req.tag
-            placement.Types.locations ~laa_level:config.wcs_level
-        in
-        Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
-        let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
-        Pqueue.push departures (!clock +. dwell) placement
-    | Error reason ->
-        incr rejected;
-        Metrics.incr m_rejected;
-        rejected_vms := !rejected_vms + vms;
-        rejected_bw := !rejected_bw +. bw;
-        (match reason with
-        | Types.No_slots -> incr rejected_no_slots
-        | Types.No_bandwidth -> incr rejected_no_bw));
-    sample_series series_prefix "acceptance_rate" ~x:(float_of_int i)
-      (float_of_int !accepted /. float_of_int i)
-  done;
-  (* Drain remaining tenants so the tree can be reused. *)
-  let rec drain_all () =
-    match Pqueue.pop departures with
-    | Some (_, placement) ->
-        sched.Driver.release placement;
-        Metrics.incr m_departures;
-        drain_all ()
-    | None -> ()
-  in
-  drain_all ();
-  {
-    arrivals = config.n_arrivals;
-    accepted = !accepted;
-    rejected = !rejected;
-    rejected_no_slots = !rejected_no_slots;
-    rejected_no_bw = !rejected_no_bw;
-    offered_vms = !offered_vms;
-    rejected_vms = !rejected_vms;
-    offered_bw = !offered_bw;
-    rejected_bw = !rejected_bw;
-    wcs_per_component = Array.of_list (List.rev !wcs_samples);
-    mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
-  }
+(* The supply side of the paper's load definition,
+   [load = lambda * mean_size * Td / total_slots], after rejecting every
+   config the arrival process cannot run: a NaN or infinite load or
+   dwell time puts a NaN clock (or rate) under every departure test, so
+   no tenant would ever leave. *)
+let slot_supply ~name tree config =
+  if
+    not
+      (config.load > 0. && config.load < infinity && config.dwell_time > 0.
+     && config.dwell_time < infinity && config.n_arrivals >= 0)
+  then
+    invalid_arg
+      (name
+     ^ ": load and dwell_time must be finite and positive, n_arrivals \
+        non-negative");
+  config.load *. float_of_int (Tree.total_slots tree)
 
-(* Epoch-batched variant of {!run}: arrivals are drawn [epoch] at a time
-   and placed together through {!Cm_placement.Shard.place_batch}.  Every
-   RNG draw happens serially — the whole epoch's inter-arrival times and
-   tags first, then the accepted tenants' dwell times in arrival order —
-   so the trajectory is deterministic and jobs-invariant (the only
-   parallelism is inside [place_batch], which is itself
-   domains-invariant).  Departures scheduled inside an epoch take effect
-   at the next epoch boundary; accounting otherwise mirrors {!run}
-   sample for sample. *)
-let run_batched ?series_prefix ?(epoch = 64) shard pool config =
-  let module Shard = Cm_placement.Shard in
-  if config.load <= 0. then
-    invalid_arg "Runner.run_batched: load must be positive";
-  if epoch <= 0 then invalid_arg "Runner.run_batched: epoch must be positive";
-  let tree = Shard.tree shard in
-  let rng = Rng.create config.seed in
+(* [n_arrivals / lambda], associated as [n * mean_size * Td / supply]:
+   [n /. lambda] differs from it in the last bit for about 40% of
+   configs, and failure schedules are sized from this value. *)
+let horizon tree pool config =
+  let supply = slot_supply ~name:"Runner.horizon" tree config in
+  float_of_int config.n_arrivals *. Pool.mean_size pool *. config.dwell_time
+  /. supply
+
+(* The one arrival process behind every entry point.  Arrivals are
+   drawn [epoch] at a time; for each, the Poisson clock advances,
+   [advance] applies everything due by then (departures, and in the
+   failure campaign faults and recoveries), slot utilization is sampled
+   and the tenant drawn.  [place] then decides the whole epoch, and each
+   accepted tenant's dwell is drawn in arrival order and handed to
+   [depart] with its departure time.  Every RNG draw is serial, so with
+   [epoch = 1] the order is clock, departures, utilization, tenant,
+   dwell — one arrival at a time. *)
+let arrivals ~name ?series_prefix ~epoch ~place ~advance ~depart tree pool
+    config =
   let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
+    slot_supply ~name tree config /. (Pool.mean_size pool *. config.dwell_time)
   in
-  let departures = Pqueue.create () in
+  if epoch <= 0 then invalid_arg (name ^ ": epoch must be positive");
+  let rng = Rng.create config.seed in
   let clock = ref 0. in
   let accepted = ref 0
   and rejected = ref 0
@@ -216,21 +138,6 @@ let run_batched ?series_prefix ?(epoch = 64) shard pool config =
   let wcs_samples = ref [] in
   let util_sum = ref 0. in
   let total_slots = float_of_int (Tree.total_slots tree) in
-  let drain () =
-    let rec go () =
-      match Pqueue.peek departures with
-      | Some (t, _) when t <= !clock -> begin
-          match Pqueue.pop departures with
-          | Some (_, placement) ->
-              Shard.release shard placement;
-              Metrics.incr m_departures;
-              go ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    go ()
-  in
   let i = ref 0 in
   while !i < config.n_arrivals do
     let b = min epoch (config.n_arrivals - !i) in
@@ -239,7 +146,7 @@ let run_batched ?series_prefix ?(epoch = 64) shard pool config =
       let x = float_of_int (!i + j) in
       clock := !clock +. Rng.exponential rng ~rate:lambda;
       Metrics.incr m_arrivals;
-      drain ();
+      advance ~x !clock;
       let util =
         (total_slots
         -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
@@ -253,23 +160,22 @@ let run_batched ?series_prefix ?(epoch = 64) shard pool config =
       drawn := (x, !clock, tag) :: !drawn
     done;
     let batch = List.rev !drawn in
-    let results =
-      Shard.place_batch shard
-        (List.map (fun (_, _, tag) -> Types.request ?ha:config.ha tag) batch)
-    in
     List.iter2
       (fun (x, t_arr, tag) result ->
         (match result with
         | Ok placement ->
             incr accepted;
             Metrics.incr m_accepted;
+            (* Use the placement's own TAG: schedulers may deploy a
+               converted rendering (e.g. the VC baseline) with different
+               components. *)
             let wcs =
               Wcs.per_component tree placement.Types.req.tag
                 placement.Types.locations ~laa_level:config.wcs_level
             in
             Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
             let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
-            Pqueue.push departures (t_arr +. dwell) placement
+            depart (t_arr +. dwell) placement
         | Error reason ->
             incr rejected;
             Metrics.incr m_rejected;
@@ -280,18 +186,11 @@ let run_batched ?series_prefix ?(epoch = 64) shard pool config =
             | Types.No_bandwidth -> incr rejected_no_bw));
         sample_series series_prefix "acceptance_rate" ~x
           (float_of_int !accepted /. x))
-      batch results;
+      batch
+      (place
+         (List.map (fun (_, _, tag) -> Types.request ?ha:config.ha tag) batch));
     i := !i + b
   done;
-  let rec drain_all () =
-    match Pqueue.pop departures with
-    | Some (_, placement) ->
-        Shard.release shard placement;
-        Metrics.incr m_departures;
-        drain_all ()
-    | None -> ()
-  in
-  drain_all ();
   {
     arrivals = config.n_arrivals;
     accepted = !accepted;
@@ -306,10 +205,44 @@ let run_batched ?series_prefix ?(epoch = 64) shard pool config =
     mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
   }
 
-let horizon tree pool config =
-  float_of_int config.n_arrivals
-  *. Pool.mean_size pool *. config.dwell_time
-  /. (config.load *. float_of_int (Tree.total_slots tree))
+(* [run] and [run_batched]: departures are a queue of placements,
+   released once their time is reached, then all at the end so the
+   tree can be reused. *)
+let run_released ~name ?series_prefix ~epoch ~place ~release tree pool config =
+  let departures = Pqueue.create () in
+  let rec drain now =
+    match Pqueue.peek departures with
+    | Some (t, _) when t <= now -> begin
+        match Pqueue.pop departures with
+        | Some (_, placement) ->
+            release placement;
+            Metrics.incr m_departures;
+            drain now
+        | None -> ()
+      end
+    | Some _ | None -> ()
+  in
+  let result =
+    arrivals ~name ?series_prefix ~epoch ~place
+      ~advance:(fun ~x:_ now -> drain now)
+      ~depart:(Pqueue.push departures) tree pool config
+  in
+  drain infinity;
+  result
+
+let run ?series_prefix (sched : Driver.scheduler) tree pool config =
+  run_released ~name:"Runner.run" ?series_prefix ~epoch:1
+    ~place:(List.map sched.Driver.place) ~release:sched.Driver.release tree
+    pool config
+
+(* Batched placement decides each epoch against its start state; the
+   only parallelism is inside [place_batch], which is itself
+   domains-invariant, so the run is jobs-invariant. *)
+let run_batched ?series_prefix ?(epoch = 64) shard pool config =
+  let module Shard = Cm_placement.Shard in
+  run_released ~name:"Runner.run_batched" ?series_prefix ~epoch
+    ~place:(Shard.place_batch shard) ~release:(Shard.release shard)
+    (Shard.tree shard) pool config
 
 type recovery_policy = {
   max_attempts : int;
@@ -361,15 +294,7 @@ type stranded_info = {
 
 let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
     (sched : Driver.scheduler) tree pool config ~(failures : Failure.schedule) =
-  if config.load <= 0. then
-    invalid_arg "Runner.run_with_failures: load must be positive";
   let module Reservation = Cm_topology.Reservation in
-  let rng = Rng.create config.seed in
-  let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
-  in
   let domains = Tree.nodes_at_level tree failures.Failure.level in
   if Array.length domains = 0 then
     invalid_arg "Runner.run_with_failures: no fault domains at level";
@@ -387,19 +312,7 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
   let predicted : (int, float array) Hashtbl.t = Hashtbl.create 64 in
   let stranded_tbl : (int, stranded_info) Hashtbl.t = Hashtbl.create 16 in
   let permanent_blockades = ref [] in
-  let clock = ref 0. in
   let next_id = ref 0 in
-  let accepted = ref 0
-  and rejected = ref 0
-  and rejected_no_slots = ref 0
-  and rejected_no_bw = ref 0
-  and offered_vms = ref 0
-  and rejected_vms = ref 0
-  and offered_bw = ref 0.
-  and rejected_bw = ref 0. in
-  let wcs_samples = ref [] in
-  let util_sum = ref 0. in
-  let total_slots = float_of_int (Tree.total_slots tree) in
   let events_injected = ref 0
   and events_repaired = ref 0
   and tenants_affected = ref 0
@@ -656,51 +569,24 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
       process_until t
     end
   in
-  for i = 1 to config.n_arrivals do
-    clock := !clock +. Rng.exponential rng ~rate:lambda;
-    Metrics.incr m_arrivals;
-    process_until !clock;
-    (* Stranded tenants get a recovery pass before the new arrival: the
-       provider restores existing guarantees ahead of admitting load. *)
-    if Hashtbl.length stranded_tbl > 0 then attempt_recoveries !clock;
-    let util =
-      (total_slots -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
-      /. total_slots
-    in
-    util_sum := !util_sum +. util;
-    sample_series series_prefix "utilization" ~x:(float_of_int i) util;
-    sample_series series_prefix "stranded" ~x:(float_of_int i)
-      (float_of_int (Hashtbl.length stranded_tbl));
-    let tag = Rng.pick rng pool.Pool.tags in
-    let vms = Tag.total_vms tag in
-    let bw = Tag.aggregate_bandwidth tag in
-    offered_vms := !offered_vms + vms;
-    offered_bw := !offered_bw +. bw;
-    (match sched.Driver.place (Types.request ?ha:config.ha tag) with
-    | Ok placement ->
-        incr accepted;
-        Metrics.incr m_accepted;
-        let wcs =
-          Wcs.per_component tree placement.Types.req.tag
-            placement.Types.locations ~laa_level:config.wcs_level
-        in
-        Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
+  let base =
+    arrivals ~name:"Runner.run_with_failures" ?series_prefix ~epoch:1
+      ~place:(List.map sched.Driver.place)
+      ~advance:(fun ~x now ->
+        process_until now;
+        (* Stranded tenants get a recovery pass before the new arrival:
+           the provider restores existing guarantees ahead of admitting
+           load. *)
+        if Hashtbl.length stranded_tbl > 0 then attempt_recoveries now;
+        sample_series series_prefix "stranded" ~x
+          (float_of_int (Hashtbl.length stranded_tbl)))
+      ~depart:(fun t placement ->
         let id = !next_id in
         incr next_id;
         admit id placement;
-        let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
-        Pqueue.push departures (!clock +. dwell) id
-    | Error reason ->
-        incr rejected;
-        Metrics.incr m_rejected;
-        rejected_vms := !rejected_vms + vms;
-        rejected_bw := !rejected_bw +. bw;
-        (match reason with
-        | Types.No_slots -> incr rejected_no_slots
-        | Types.No_bandwidth -> incr rejected_no_bw));
-    sample_series series_prefix "acceptance_rate" ~x:(float_of_int i)
-      (float_of_int !accepted /. float_of_int i)
-  done;
+        Pqueue.push departures t id)
+      tree pool config
+  in
   (* Drain everything left — departures, pending injections, repairs —
      still in time order, so late repairs can rescue stranded tenants
      whose dwell has not expired. *)
@@ -709,21 +595,6 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
      for reuse; the simulated datacenter simply ended with those domains
      dark. *)
   List.iter (Reservation.release tree) !permanent_blockades;
-  let base =
-    {
-      arrivals = config.n_arrivals;
-      accepted = !accepted;
-      rejected = !rejected;
-      rejected_no_slots = !rejected_no_slots;
-      rejected_no_bw = !rejected_no_bw;
-      offered_vms = !offered_vms;
-      rejected_vms = !rejected_vms;
-      offered_bw = !offered_bw;
-      rejected_bw = !rejected_bw;
-      wcs_per_component = Array.of_list (List.rev !wcs_samples);
-      mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
-    }
-  in
   {
     base;
     events_injected = !events_injected;

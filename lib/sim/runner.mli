@@ -9,8 +9,12 @@
 type config = {
   seed : int;
   n_arrivals : int;
-  load : float;  (** Target slot utilization in (0, 1]. *)
-  dwell_time : float;  (** Mean tenant dwell time Td (arbitrary units). *)
+  load : float;
+      (** Target slot utilization; finite and positive (above 1 is
+          overload). *)
+  dwell_time : float;
+      (** Mean tenant dwell time Td (arbitrary units); finite and
+          positive. *)
   ha : Cm_placement.Types.ha_spec option;
       (** Attached to every request (guaranteed-WCS experiments). *)
   wcs_level : int;
@@ -55,7 +59,12 @@ val run :
   ?series_prefix:string ->
   Driver.scheduler -> Cm_topology.Tree.t -> Cm_workload.Pool.t -> config ->
   result
-(** [?series_prefix] opts the run into per-arrival {!Cm_obs.Series}
+(** Every entry point, {!horizon} included, rejects a config whose
+    [load] or [dwell_time] is not finite and positive, or whose
+    [n_arrivals] is negative.
+    @raise Invalid_argument naming the entry point, before any draw.
+
+    [?series_prefix] opts the run into per-arrival {!Cm_obs.Series}
     sampling: [<prefix>.utilization] (slot utilization seen by arrival
     [i]) and [<prefix>.acceptance_rate] (running acceptance fraction),
     with [x = i].  Prefixes must be distinct per logical run — parallel

@@ -167,6 +167,82 @@ let test_deterministic () =
   Alcotest.(check (float 1e-12)) "same shortfall" a.mean_shortfall
     b.mean_shortfall
 
+(* {1 Golden digests}
+
+   Pinned from the code as it stood before [evaluate] and
+   [evaluate_with_tags] shared one flow materializer: every report field
+   bit for bit (["%h"]) plus the next draw of the caller's rng, so a
+   change in how many draws the evaluation consumes shows up too. *)
+
+let fingerprint b (r : E2e.report) =
+  List.iter
+    (fun (t : E2e.tenant_report) ->
+      Printf.bprintf b "%s/%d/%d/%h;" t.tenant_name t.edges_total
+        t.edges_violated t.worst_shortfall)
+    r.tenants;
+  Printf.bprintf b "%d/%d/%h/%h/%d|" r.edges_total r.edges_violated
+    r.violation_fraction r.mean_shortfall r.flows
+
+let digest_modes run =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun mode ->
+      let rng = Cm_util.Rng.create 17 in
+      fingerprint b (run ~rng ~mode);
+      Printf.bprintf b "%d|" (Cm_util.Rng.int rng 1_000_000))
+    [ E2e.No_protection; E2e.Hose_protection; E2e.Tag_protection ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_spec = { spec with Tree.degrees = [ 4; 4 ] }
+let golden_evaluate = "1594ae1470354c8e6148927adfb58dc9"
+let golden_evaluate_sampled = "c4a36e6ccd4b178d99234e8d6a591f99"
+let golden_evaluate_with_tags = "8f26bed344c63e744a6d92c88c6fb1e9"
+
+let test_golden_evaluate () =
+  let tree = Tree.create golden_spec in
+  let external_tag =
+    Tag.create ~name:"edge" ~externals:[ "internet" ]
+      ~components:[ ("web", 6) ]
+      ~edges:[ (0, 1, 80., 0.); (1, 0, 0., 120.); (0, 0, 40., 40.) ]
+      ()
+  in
+  let tenants = deploy tree (external_tag :: heavy_tenants) in
+  Alcotest.(check int) "all deployed" 4 (List.length tenants);
+  Alcotest.(check string) "all pairs" golden_evaluate
+    (digest_modes (fun ~rng ~mode ->
+         E2e.evaluate ~background_flows:60 ~rng ~tree ~tenants ~mode ()));
+  Alcotest.(check string) "sampled pairs" golden_evaluate_sampled
+    (digest_modes (fun ~rng ~mode ->
+         E2e.evaluate ~pairs_per_edge:5 ~background_flows:30 ~rng ~tree
+           ~tenants ~mode ()))
+
+let test_golden_evaluate_with_tags () =
+  (* The sold TAG splits the same 14 VMs differently from the drifted
+     one, so sold coordinates are not the actual ones. *)
+  let sold =
+    Tag.create ~name:"drift"
+      ~components:[ ("a", 6); ("b", 8) ]
+      ~edges:[ (0, 1, 60., 45.); (1, 1, 20., 20.) ]
+      ()
+  in
+  let actual =
+    Tag.create ~name:"drift"
+      ~components:[ ("a", 4); ("b", 7); ("c", 3) ]
+      ~edges:[ (0, 1, 150., 90.); (1, 2, 70., 160.); (2, 2, 30., 30.) ]
+      ()
+  in
+  let tree = Tree.create golden_spec in
+  let tenants =
+    deploy tree (sold :: heavy_tenants)
+    |> List.map (fun (tag, locations) ->
+           ((if tag == sold then actual else tag), tag, locations))
+  in
+  Alcotest.(check int) "all deployed" 4 (List.length tenants);
+  Alcotest.(check string) "stale sold TAG" golden_evaluate_with_tags
+    (digest_modes (fun ~rng ~mode ->
+         E2e.evaluate_with_tags ~pairs_per_edge:8 ~background_flows:60 ~rng
+           ~tree ~tenants ~mode ()))
+
 let () =
   Alcotest.run "cm_e2e"
     [
@@ -183,5 +259,11 @@ let () =
             test_external_traffic_protected;
           Alcotest.test_case "report consistency" `Quick test_report_consistency;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "evaluate digest" `Quick test_golden_evaluate;
+          Alcotest.test_case "evaluate_with_tags digest" `Quick
+            test_golden_evaluate_with_tags;
         ] );
     ]

@@ -207,14 +207,41 @@ let test_account_matches_tree_reservations () =
   done
 
 let test_runner_invalid_load () =
+  (* A NaN load used to slip past [load <= 0.] and run on a NaN clock,
+     where no tenant ever departs; every entry point rejects it, and the
+     other configs the arrival process cannot run, before any draw. *)
   let tree = Tree.create small_spec in
-  Alcotest.check_raises "load 0" (Invalid_argument "")
-    (fun () ->
-      try
-        ignore
-          (Runner.run (Driver.cm tree) tree scaled
-             { Runner.default_config with load = 0. })
-      with Invalid_argument _ -> raise (Invalid_argument ""))
+  let bad name cfg =
+    Alcotest.check_raises name (Invalid_argument "")
+      (fun () ->
+        try ignore (Runner.run (Driver.cm tree) tree scaled cfg)
+        with Invalid_argument _ -> raise (Invalid_argument ""))
+  in
+  let d = Runner.default_config in
+  bad "load 0" { d with load = 0. };
+  bad "load nan" { d with load = nan };
+  bad "load infinity" { d with load = infinity };
+  bad "dwell_time 0" { d with dwell_time = 0. };
+  bad "n_arrivals -1" { d with n_arrivals = -1 };
+  let message entry =
+    Invalid_argument
+      (entry
+     ^ ": load and dwell_time must be finite and positive, n_arrivals \
+        non-negative")
+  in
+  let nan_cfg = { d with load = nan } in
+  Alcotest.check_raises "run_batched" (message "Runner.run_batched") (fun () ->
+      ignore
+        (Runner.run_batched (Cm_placement.Shard.create tree) scaled nan_cfg));
+  Alcotest.check_raises "run_with_failures"
+    (message "Runner.run_with_failures") (fun () ->
+      ignore
+        (Runner.run_with_failures (Driver.cm tree) tree scaled nan_cfg
+           ~failures:{ Cm_sim.Failure.level = 1; events = [] }));
+  Alcotest.check_raises "horizon" (message "Runner.horizon") (fun () ->
+      ignore (Runner.horizon tree scaled { d with dwell_time = nan }));
+  Alcotest.(check int) "tree untouched" (Tree.total_slots tree)
+    (Tree.free_slots_subtree tree (Tree.root tree))
 
 let test_runner_wcs_level_rack () =
   (* Measuring WCS at rack level yields lower survivability than at
@@ -669,6 +696,139 @@ let prop_failure_runs_consistent =
          = r.tenants_affected
       && r.wcs_slack_min >= -1e-9)
 
+(* {1 Golden digests for the batched and failure entry points}
+
+   [test_hotpath] pins {!Runner.run}; these pin {!Runner.run_batched}
+   and {!Runner.run_with_failures} the same way.  The constants were
+   captured from the code as it stood before the three arrival loops
+   were merged into one, and cover every float of the result bit for
+   bit (["%h"]), every sampled series point and the telemetry counters
+   each run bumps. *)
+
+module Shard = Cm_placement.Shard
+module Series = Cm_obs.Series
+module Metrics = Cm_obs.Metrics
+
+let fingerprint_result b (r : Runner.result) =
+  Printf.bprintf b "%d/%d/%d/%d/%d/%d/%d/%h/%h/%h" r.arrivals r.accepted
+    r.rejected r.rejected_no_slots r.rejected_no_bw r.offered_vms
+    r.rejected_vms r.offered_bw r.rejected_bw r.mean_utilization;
+  Array.iter (Printf.bprintf b "/%h") r.wcs_per_component
+
+let golden_counters =
+  [
+    "sim.arrivals"; "sim.departures"; "sim.accepted"; "sim.rejected";
+    "failure.injected"; "failure.repaired"; "recovery.replaced";
+    "recovery.partial"; "recovery.stranded"; "recovery.attempts";
+  ]
+
+(* Run [f ~series_prefix] with series enabled and digest what it
+   returns (through [render]), the series it sampled under [prefix] and
+   the counter increments it caused. *)
+let golden_digest ~prefix ~signals render f =
+  let before =
+    List.map (fun n -> Metrics.counter_value (Metrics.counter n)) golden_counters
+  in
+  let saved = Series.enabled () in
+  Series.reset ();
+  Series.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Series.set_enabled saved)
+      (fun () -> f ~series_prefix:prefix)
+  in
+  let b = Buffer.create 4096 in
+  render b r;
+  List.iter
+    (fun signal ->
+      let xs, ys, dropped =
+        Series.contents (Series.create (prefix ^ "." ^ signal))
+      in
+      Printf.bprintf b "|%s:%d" signal dropped;
+      Array.iteri (fun i x -> Printf.bprintf b ",%h=%h" x ys.(i)) xs)
+    signals;
+  List.iter2
+    (fun n v0 ->
+      Printf.bprintf b "|%s+%d" n
+        (Metrics.counter_value (Metrics.counter n) - v0))
+    golden_counters before;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let run_signals = [ "utilization"; "acceptance_rate" ]
+
+let golden_batched_small = "9e2b32e6cb49822f3427a7aa6b8da650"
+let golden_batched_ha = "4a2538aca524e860d3cea993aa37dafb"
+
+let batched_digest ~prefix ?epoch cfg =
+  golden_digest ~prefix ~signals:run_signals fingerprint_result
+    (fun ~series_prefix ->
+      let tree = Tree.create small_spec in
+      let shard = Shard.create tree in
+      let r = Runner.run_batched ~series_prefix ?epoch shard scaled cfg in
+      check_pristine tree;
+      r)
+
+let test_golden_run_batched () =
+  let at_domains d f =
+    let saved = Cm_util.Par.default_domains () in
+    Cm_util.Par.set_default_domains d;
+    Fun.protect ~finally:(fun () -> Cm_util.Par.set_default_domains saved) f
+  in
+  let small () =
+    batched_digest ~prefix:"golden.batched.small" ~epoch:16
+      { Runner.default_config with seed = 5; n_arrivals = 400; load = 0.9 }
+  in
+  let ha () =
+    batched_digest ~prefix:"golden.batched.ha"
+      { (campaign_cfg 9) with n_arrivals = 300; load = 1.2 }
+  in
+  List.iter
+    (fun (name, golden, f) ->
+      let d1 = at_domains 1 f and d2 = at_domains 2 f in
+      Alcotest.(check string) (name ^ ": domains 1 = 2") d1 d2;
+      Alcotest.(check string) (name ^ ": golden") golden d1)
+    [ ("epoch 16", golden_batched_small, small); ("default epoch, HA", golden_batched_ha, ha) ]
+
+let golden_failures_repair = "bc38fe497b2496c0d6890cd50314f375"
+let golden_failures_permanent = "6b7b96ec473c39a1e4fc1f2827364caf"
+
+let fingerprint_failures b (r : Runner.failure_result) =
+  fingerprint_result b r.base;
+  Printf.bprintf b "|%d/%d/%d/%d/%d/%d/%d/%d/%h/%h/%h/%h" r.events_injected
+    r.events_repaired r.tenants_affected r.vms_lost r.recovered_full
+    r.recovered_partial r.stranded r.recovery_attempts r.mean_time_to_restore
+    r.max_time_to_restore r.total_downtime r.wcs_slack_min
+
+let test_golden_run_with_failures () =
+  let digest ~repair ~seed =
+    let prefix = Printf.sprintf "golden.failures.%b.%d" repair seed in
+    golden_digest ~prefix
+      ~signals:(run_signals @ [ "stranded"; "ladder_depth" ])
+      fingerprint_failures
+      (fun ~series_prefix ->
+        let cfg = campaign_cfg seed in
+        let tree = Tree.create small_spec in
+        let horizon = Runner.horizon tree scaled cfg in
+        let racks = Array.length (Tree.nodes_at_level tree 1) in
+        let failures =
+          Failure.schedule
+            (Cm_util.Rng.create (seed + 100))
+            ~n_domains:racks ~level:1 ~horizon ~rate:(6. /. horizon)
+            ?mean_repair:(if repair then Some (horizon /. 8.) else None)
+            ()
+        in
+        let r =
+          Runner.run_with_failures ~series_prefix (Driver.cm tree) tree scaled
+            cfg ~failures
+        in
+        check_pristine tree;
+        r)
+  in
+  Alcotest.(check string) "with repairs" golden_failures_repair
+    (digest ~repair:true ~seed:42);
+  Alcotest.(check string) "permanent faults" golden_failures_permanent
+    (digest ~repair:false ~seed:43)
+
 let () =
   Alcotest.run "cm_sim"
     [
@@ -733,6 +893,13 @@ let () =
           Alcotest.test_case "level lifting and mismatch" `Quick
             test_failure_level_lifting_and_mismatch;
           QCheck_alcotest.to_alcotest prop_failure_runs_consistent;
+        ] );
+      ( "goldens",
+        [
+          Alcotest.test_case "run_batched digest, domains 1 = 2" `Quick
+            test_golden_run_batched;
+          Alcotest.test_case "run_with_failures digest" `Quick
+            test_golden_run_with_failures;
         ] );
       ( "table1",
         [
